@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import SparseMatrix, as_vector, dense_solve, spmv
 
@@ -171,7 +172,9 @@ def gmres_solve(
     g = np.zeros(restart + 1)
 
     def form_solution(j: int) -> np.ndarray:
-        y = _solve_upper_triangular(h[: j + 1, : j + 1], g[: j + 1])
+        y = scipy.linalg.solve_triangular(
+            h[: j + 1, : j + 1], g[: j + 1], check_finite=False
+        )
         return x + v[: j + 1].T @ y
 
     while True:
@@ -241,14 +244,6 @@ def gmres_solve(
             return x, InnerSolveReport(total, rel_true, "breakdown", history)
         if cycle_start - rel_true < STAGNATION_RTOL * cycle_start:
             return x, InnerSolveReport(total, rel_true, "breakdown", history)
-
-
-def _solve_upper_triangular(u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution on a small upper-triangular system."""
-    y = np.zeros_like(rhs)
-    for i in range(rhs.shape[0] - 1, -1, -1):
-        y[i] = (rhs[i] - u[i, i + 1 :] @ y[i + 1 :]) / u[i, i]
-    return y
 
 
 def direct_solve(

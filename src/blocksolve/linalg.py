@@ -1,9 +1,10 @@
 """Sparse/dense kernels and the verification oracles used by the solvers.
 
 Vectors are plain one-dimensional float64 numpy arrays. The sparse format is
-CSR with strictly increasing column indices inside each row. The dense solve
-and the power iteration exist mainly to cross-check the iterative machinery,
-so they are deliberately boring and direct.
+scipy's CSR (``scipy.sparse.csr_array``), kept canonical: strictly increasing
+column indices inside each row. The dense solve and the power iteration
+exist mainly to cross-check the iterative machinery, so they are
+deliberately boring and direct.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "SparseMatrix",
@@ -53,28 +55,49 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """CSR sparse matrix.
+    """A ``scipy.sparse.csr_array`` held in canonical form.
 
-    ``row_offsets`` has ``num_rows + 1`` non-decreasing entries; within each
-    row the column indices are strictly increasing, so there is at most one
-    stored entry per (row, col).
+    Canonical means the column indices inside each row are strictly
+    increasing, so there is at most one stored entry per (row, col). The
+    CSR arrays are exposed under the names the solvers and tools read.
     """
 
-    num_rows: int
-    num_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: scipy.sparse.csr_array
+
+    def __post_init__(self):
+        if not isinstance(self.csr, scipy.sparse.csr_array):
+            raise TypeError(f"expected a scipy.sparse.csr_array, got {type(self.csr)}")
+        self.check()
 
     @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
+    def num_rows(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def num_cols(self) -> int:
+        return self.csr.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.num_rows, self.num_cols)
+        return self.csr.shape
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.csr.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self.csr.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.csr.data
+
+    @property
+    def nnz(self) -> int:
+        return int(self.csr.nnz)
 
     @classmethod
     def from_entries(
@@ -87,92 +110,40 @@ class SparseMatrix:
 
         Duplicate (row, col) pairs are rejected rather than summed.
         """
-        items = list(entries)
-        if not items:
-            return cls(
-                num_rows,
-                num_cols,
-                np.zeros(num_rows + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-            )
-        rows = np.asarray([e[0] for e in items], dtype=np.int64)
-        cols = np.asarray([e[1] for e in items], dtype=np.int64)
-        vals = np.asarray([e[2] for e in items], dtype=np.float64)
-        if rows.min() < 0 or rows.max() >= num_rows:
-            raise ValueError("row index out of range")
-        if cols.min() < 0 or cols.max() >= num_cols:
-            raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-        if np.any(dup):
-            i = int(np.nonzero(dup)[0][0])
-            raise ValueError(f"duplicate entry at ({rows[i]}, {cols[i]})")
-        offsets = np.zeros(num_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return cls(num_rows, num_cols, offsets, cols, vals)
+        items = np.asarray(list(entries), dtype=np.float64).reshape(-1, 3)
+        rows, cols = items[:, 0].astype(np.int64), items[:, 1].astype(np.int64)
+        coo = scipy.sparse.coo_array(
+            (items[:, 2], (rows, cols)), shape=(num_rows, num_cols)
+        )
+        csr = coo.tocsr()
+        if csr.nnz != items.shape[0]:
+            raise ValueError("duplicate (row, col) entries")
+        return cls(csr)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
         a = np.asarray(dense, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(a)
-        return cls.from_entries(
-            a.shape[0], a.shape[1], zip(rows.tolist(), cols.tolist(), a[rows, cols])
-        )
+        return cls(scipy.sparse.csr_array(a))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.num_rows, self.num_cols))
-        for r in range(self.num_rows):
-            s, e = self.row_offsets[r], self.row_offsets[r + 1]
-            a[r, self.col_indices[s:e]] = self.values[s:e]
-        return a
+        return self.csr.toarray()
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries; positions without a stored entry read as zero."""
-        d = np.zeros(min(self.num_rows, self.num_cols))
-        for r in range(d.shape[0]):
-            s, e = self.row_offsets[r], self.row_offsets[r + 1]
-            j = np.searchsorted(self.col_indices[s:e], r)
-            if j < e - s and self.col_indices[s + j] == r:
-                d[r] = self.values[s + j]
-        return d
+        return self.csr.diagonal()
 
     def without_diagonal(self) -> "SparseMatrix":
         """Copy with the diagonal entries dropped."""
-        rows = np.repeat(
-            np.arange(self.num_rows, dtype=np.int64), np.diff(self.row_offsets)
-        )
-        keep = rows != self.col_indices
-        offsets = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows[keep] + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return SparseMatrix(
-            self.num_rows,
-            self.num_cols,
-            offsets,
-            self.col_indices[keep].copy(),
-            self.values[keep].copy(),
-        )
+        diag = scipy.sparse.diags_array(self.diagonal(), shape=self.shape)
+        return SparseMatrix((self.csr - diag).tocsr())
 
     def check(self) -> None:
         """Validate the CSR invariants, raising ValueError on violation."""
-        if self.row_offsets.shape != (self.num_rows + 1,):
-            raise ValueError("row_offsets has wrong length")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
-            raise ValueError("row_offsets endpoints inconsistent with nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be non-decreasing")
-        if self.nnz:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.num_cols:
-                raise ValueError("column index out of range")
-        for r in range(self.num_rows):
-            s, e = self.row_offsets[r], self.row_offsets[r + 1]
-            if np.any(np.diff(self.col_indices[s:e]) <= 0):
-                raise ValueError(f"columns not strictly increasing in row {r}")
+        self.csr.check_format(full_check=True)
+        if not self.csr.has_canonical_format:
+            raise ValueError("columns not strictly increasing in some row")
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:
@@ -182,16 +153,7 @@ def spmv(a: SparseMatrix, x) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: matrix has {a.num_cols} columns, vector has {x.shape[0]}"
         )
-    out = np.zeros(a.num_rows)
-    if a.nnz == 0:
-        return out
-    prod = a.values * x[a.col_indices]
-    starts = a.row_offsets[:-1]
-    nonempty = a.row_offsets[1:] > starts
-    # reduceat mishandles zero-length segments; summing only the non-empty
-    # rows keeps consecutive offsets as true segment boundaries.
-    out[nonempty] = np.add.reduceat(prod, starts[nonempty])
-    return out
+    return a.csr @ x
 
 
 def residual_norms(a: SparseMatrix, x, b) -> tuple[float, float]:

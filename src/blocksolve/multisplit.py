@@ -34,7 +34,7 @@ import scipy.linalg
 from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolveReport, InnerSolverSpec, solve as inner_solve
-from .linalg import SparseMatrix, residual_norms, spmv
+from .linalg import DENSE_ORACLE_CAP, SparseMatrix, residual_norms, spmv
 from .problems import BlockDecomposition, LinearProblem, block_system, decompose
 
 __all__ = [
@@ -216,19 +216,10 @@ def build_workspaces(
     halo_cols_all: list[np.ndarray] = []
     owned_glob: list[np.ndarray] = []
     for blk in range(n_blocks):
-        a_ii, coupling = block_system(problem, decomp, blk)
-        cols = np.unique(np.asarray([c for _, c, _ in coupling], dtype=np.int64))
-        coupling_csr = SparseMatrix.from_entries(
-            a_ii.num_rows,
-            cols.shape[0],
-            [
-                (r, int(np.searchsorted(cols, c)), v)
-                for r, c, v in coupling
-            ],
-        )
+        a_ii, coupling, halo_cols = block_system(problem, decomp, blk)
         a_iis.append(a_ii)
-        couplings.append(coupling_csr)
-        halo_cols_all.append(cols)
+        couplings.append(coupling)
+        halo_cols_all.append(halo_cols)
         owned_glob.append(decomp.owned_indices(blk))
 
     workspaces: list[BlockWorkspace] = []
@@ -517,6 +508,20 @@ class _WorkerContext:
         self.gen = _block_worker(self)
 
 
+def _check_dense_factor_sizes(decomp: BlockDecomposition) -> None:
+    """Refuse dense LU factors of blocks above the dense oracle's cap.
+
+    Runs before any block matrix is densified: a single 32^3 block would
+    otherwise ask for a 32768^2 dense matrix (about 8.6 GB).
+    """
+    for blk, ext in enumerate(decomp.extended_indices):
+        if ext.shape[0] > DENSE_ORACLE_CAP:
+            raise ConfigurationError(
+                f"inner: the direct solve of block {blk} needs a dense factor of "
+                f"{ext.shape[0]} rows, above the cap of {DENSE_ORACLE_CAP}"
+            )
+
+
 def _make_inner_solver(ws: BlockWorkspace, spec: InnerSolverSpec):
     """Bind the inner spec to the block system; direct solves cache an LU."""
     if spec.kind == "direct":
@@ -747,6 +752,8 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
     ``converged=False``, not an exception.
     """
     decomp = decompose(problem.grid, config.block_grid, config.overlap)
+    if config.inner.kind == "direct":
+        _check_dense_factor_sizes(decomp)
     workspaces = build_workspaces(problem, decomp)
     fabric = create_fabric(
         num_workers=decomp.num_blocks,
@@ -805,6 +812,7 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     the implemented multisplitting operator whose spectral radius governs
     convergence. Block inverses are applied through cached dense LU factors.
     """
+    _check_dense_factor_sizes(decomp)
     workspaces = build_workspaces(problem, decomp)
     lus = [scipy.linalg.lu_factor(ws.a_ii.to_dense()) for ws in workspaces]
     offsets = np.concatenate(([0], np.cumsum([ws.n_local for ws in workspaces])))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigurationError
 from .linalg import SparseMatrix
@@ -69,6 +70,13 @@ class DirichletBoundary:
         if callable(spec):
             return float(spec(u, v))
         return spec
+
+    def face_values(self, face: str, nu: int, nv: int) -> np.ndarray:
+        """The face's data at in-face coordinates u < nu, v < nv, indexed [v, u]."""
+        spec = self._faces[face]
+        if callable(spec):
+            return np.array([[float(spec(u, v)) for u in range(nu)] for v in range(nv)])
+        return np.full((nv, nu), spec)
 
     def face_constants(self) -> dict[str, float]:
         """Per-face constants; raises if any face holds a callable."""
@@ -128,51 +136,34 @@ def build_laplace_3d(grid: Grid3D) -> LinearProblem:
     """
     nx, ny, nz = grid.nx, grid.ny, grid.nz
     n = grid.num_unknowns
+    idx = np.arange(n)
+    offsets = [0]
+    diagonals = [np.full(n, 6.0)]
+    # unknowns p and p + stride are coupled unless p is on the high side of
+    # that axis, where p + stride wraps around to the next line or plane;
+    # an axis of width 1 has no couplings and would repeat another's stride
+    for stride, coord, width in (
+        (1, idx % nx, nx),
+        (nx, (idx // nx) % ny, ny),
+        (nx * ny, idx // (nx * ny), nz),
+    ):
+        if width > 1:
+            coupling = np.where(coord[: n - stride] < width - 1, -1.0, 0.0)
+            offsets += [-stride, stride]
+            diagonals += [coupling, coupling]
+    # dia -> csr drops the masked zeros and sorts each row's columns
+    matrix = scipy.sparse.diags_array(diagonals, offsets=offsets, shape=(n, n)).tocsr()
+
     bnd = grid.boundary
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs = np.zeros(n)
-
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                p = grid.index(i, j, k)
-                # neighbor offsets in ascending column order
-                if k > 0:
-                    rows.append(p), cols.append(p - nx * ny), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("z_lo", i, j)
-                if j > 0:
-                    rows.append(p), cols.append(p - nx), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("y_lo", i, k)
-                if i > 0:
-                    rows.append(p), cols.append(p - 1), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("x_lo", j, k)
-                rows.append(p), cols.append(p), vals.append(6.0)
-                if i < nx - 1:
-                    rows.append(p), cols.append(p + 1), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("x_hi", j, k)
-                if j < ny - 1:
-                    rows.append(p), cols.append(p + nx), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("y_hi", i, k)
-                if k < nz - 1:
-                    rows.append(p), cols.append(p + nx * ny), vals.append(-1.0)
-                else:
-                    rhs[p] += bnd.value("z_hi", i, j)
-
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, np.asarray(rows, dtype=np.int64) + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    matrix = SparseMatrix(
-        n, n, offsets, np.asarray(cols, dtype=np.int64), np.asarray(vals)
-    )
-    return LinearProblem(matrix, rhs, grid)
+    rhs = np.zeros((nz, ny, nx))
+    # faces are added in a fixed order, so edge and corner sums are reproducible
+    rhs[0, :, :] += bnd.face_values("z_lo", nx, ny)
+    rhs[:, 0, :] += bnd.face_values("y_lo", nx, nz)
+    rhs[:, :, 0] += bnd.face_values("x_lo", ny, nz)
+    rhs[:, :, -1] += bnd.face_values("x_hi", ny, nz)
+    rhs[:, -1, :] += bnd.face_values("y_hi", nx, nz)
+    rhs[-1, :, :] += bnd.face_values("z_hi", nx, ny)
+    return LinearProblem(SparseMatrix(matrix), rhs.ravel(), grid)
 
 
 def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
@@ -209,9 +200,6 @@ class Box:
     def widths(self) -> tuple[int, int, int]:
         return tuple(self.hi[d] - self.lo[d] for d in range(3))
 
-    def contains(self, i: int, j: int, k: int) -> bool:
-        return all(self.lo[d] <= p < self.hi[d] for d, p in enumerate((i, j, k)))
-
 
 def _split_ranges(n: int, g: int) -> list[tuple[int, int]]:
     """Split [0, n) into g nearly-equal ranges; remainder goes to the lowest blocks."""
@@ -246,10 +234,6 @@ class BlockDecomposition:
     def num_blocks(self) -> int:
         return len(self.owned)
 
-    def block_coords(self, block_id: int) -> tuple[int, int, int]:
-        gx, gy, gz = self.block_grid
-        return (block_id % gx, (block_id // gx) % gy, block_id // (gx * gy))
-
     def owned_indices(self, block_id: int) -> np.ndarray:
         """Sorted global indices of the block's owned box."""
         box = self.owned[block_id]
@@ -276,12 +260,6 @@ class BlockDecomposition:
             if pos < ext.shape[0] and ext[pos] == flat_index:
                 covering.append(b)
         return covering
-
-    def owner_of(self, i: int, j: int, k: int) -> int:
-        for b, box in enumerate(self.owned):
-            if box.contains(i, j, k):
-                return b
-        raise ValueError(f"point ({i}, {j}, {k}) outside the grid")
 
 
 def decompose(
@@ -361,46 +339,21 @@ def decompose(
 
 def block_system(
     problem: LinearProblem, decomp: BlockDecomposition, block_id: int
-) -> tuple[SparseMatrix, list[tuple[int, int, float]]]:
+) -> tuple[SparseMatrix, SparseMatrix, np.ndarray]:
     """Extract a block's local system from the global operator.
 
-    Returns the principal submatrix of A on the block's extended region plus
-    the coupling entries: every (local_row, external_global_col, coefficient)
-    connecting the region to outside columns. The couplings define the
-    block's halo dependency set.
+    Returns ``(a_ii, coupling, halo_cols)``: the principal submatrix of A on
+    the block's extended region, the sorted global indices of the outside
+    columns those rows touch (the block's halo dependency set), and the
+    extended rows of A restricted to those columns.
     """
     if not 0 <= block_id < decomp.num_blocks:
         raise ValueError(f"block_id {block_id} out of range")
-    a = problem.matrix
     ext = decomp.extended_indices[block_id]
-    m = ext.shape[0]
-    local_of = np.full(a.num_cols, -1, dtype=np.int64)
-    local_of[ext] = np.arange(m)
-
-    counts = a.row_offsets[ext + 1] - a.row_offsets[ext]
-    total = int(counts.sum())
-    # gather the global positions of all entries in the extended rows
-    pos = np.repeat(a.row_offsets[ext], counts) + (
-        np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    local_rows = np.repeat(np.arange(m), counts)
-    cols = a.col_indices[pos]
-    vals = a.values[pos]
-    loc_cols = local_of[cols]
-    inside = loc_cols >= 0
-
-    in_rows = local_rows[inside]
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(offsets, in_rows + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    # ext is ascending, so the local column order within each row is preserved
-    a_ii = SparseMatrix(m, m, offsets, loc_cols[inside], vals[inside])
-
-    coupling = list(
-        zip(
-            local_rows[~inside].tolist(),
-            cols[~inside].tolist(),
-            vals[~inside].tolist(),
-        )
-    )
-    return a_ii, coupling
+    rows = problem.matrix.csr[ext]
+    touched = np.zeros(rows.shape[1], dtype=bool)
+    touched[rows.indices] = True
+    touched[ext] = False
+    halo_cols = np.flatnonzero(touched)
+    # both column sets are sorted, so each row's columns stay increasing
+    return SparseMatrix(rows[:, ext]), SparseMatrix(rows[:, halo_cols]), halo_cols

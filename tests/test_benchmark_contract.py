@@ -1,0 +1,47 @@
+"""The benchmark's traced run patches blocksolve entry points by name.
+
+``perfbench/spans.py`` replaces functions and imported aliases with timing
+wrappers. A rename in the library would leave a span silently empty, so
+these solves check that every layer the per-layer metrics read still
+records spans.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from blocksolve import inner_solvers, multisplit, problems
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+# direct solves factor and solve through scipy.linalg inside multisplit,
+# so they are seen at lu_factor and lu_solve instead of inner_solve
+@pytest.mark.parametrize(
+    "kind,inner_spans",
+    [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
+)
+def test_traced_solve_records_every_layer(kind, inner_spans):
+    tracer = load_tracer()()
+    config = multisplit.OuterConfig(
+        block_grid=(2, 2, 2),
+        overlap=1,
+        inner=inner_solvers.InnerSolverSpec(kind, 10),
+        tol=1e-6,
+    )
+    with tracer.installed():
+        grid = problems.Grid3D(4, 4, 4, problems.DirichletBoundary({"x_lo": 1.0}))
+        result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
+    assert result.converged
+    _, _, calls = tracer.totals()
+    expected = {"spmv", "block_system", "build_laplace_3d"} | inner_spans
+    missing = {name for name in expected if calls[name] == 0}
+    assert not missing, f"no spans recorded for {sorted(missing)}"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from blocksolve.linalg import (
     SingularMatrixError,
@@ -53,6 +54,13 @@ class TestSparseMatrix:
         assert np.array_equal(a.diagonal(), np.full(4, 2.0))
         off = a.without_diagonal()
         assert np.array_equal(off.to_dense(), a.to_dense() - 2.0 * np.eye(4))
+
+    def test_non_canonical_csr_rejected(self):
+        unsorted = scipy.sparse.csr_array(
+            (np.ones(2), np.array([1, 0]), np.array([0, 2, 2])), shape=(2, 2)
+        )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseMatrix(unsorted)
 
     def test_from_dense_drops_zeros(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])

@@ -316,6 +316,20 @@ class TestOuterSolve:
             assert result.converged
             assert result.final_true_residual <= 1e-6
 
+    def test_direct_refuses_block_over_dense_cap(self, monkeypatch):
+        # one 21x21x19 block has 8379 rows, over the 8192-row dense cap
+        problem = build_laplace_3d(Grid3D(21, 21, 19))
+
+        def no_densify(matrix):
+            raise AssertionError("a block was densified before the size check")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", no_densify)
+        config = OuterConfig(inner=InnerSolverSpec("direct", 1))
+        with pytest.raises(ConfigurationError, match="block 0 .* 8379 rows"):
+            outer_solve(problem, config)
+        with pytest.raises(ConfigurationError, match="block 0 .* 8379 rows"):
+            iteration_operator(problem, decompose(problem.grid, (1, 1, 1)))
+
     def test_capture_requires_replay(self):
         with pytest.raises(ConfigurationError):
             OuterConfig(capture_iterates=True, execution="threads")

@@ -61,6 +61,47 @@ class TestBuildLaplace:
         # each unknown (i, j, 0) touches the z_lo face at in-face coords (i, j)
         assert problem.rhs[grid.index(1, 1, 0)] == 11.0
 
+    def test_all_faces_on_non_cubic_grid(self):
+        nx, ny, nz = 3, 4, 5
+        faces = {
+            "x_lo": 0.3,
+            "x_hi": lambda j, k: 0.1 * j + 0.7 * k,
+            "y_lo": lambda i, k: 1.0 / (1 + i + k),
+            "y_hi": -2.1,
+            "z_lo": lambda i, j: 0.37 * i - j / 3.0 + 0.1,
+            "z_hi": 0.123,
+        }
+        problem = build_laplace_3d(Grid3D(nx, ny, nz, DirichletBoundary(faces)))
+        # grid coordinates of every unknown, in the x-fastest unknown order
+        k, j, i = (c.ravel() for c in np.indices((nz, ny, nx)))
+        distance = (
+            np.abs(i[:, None] - i[None, :])
+            + np.abs(j[:, None] - j[None, :])
+            + np.abs(k[:, None] - k[None, :])
+        )
+        expected_a = np.where(distance == 0, 6.0, np.where(distance == 1, -1.0, 0.0))
+        assert np.array_equal(problem.matrix.to_dense(), expected_a)
+        problem.matrix.check()
+
+        # each face adds its data at the unknowns next to it, in the order
+        # z_lo, y_lo, x_lo, x_hi, y_hi, z_hi; callables see numpy arrays here
+        on_face = {
+            "z_lo": (k == 0, (i, j)),
+            "y_lo": (j == 0, (i, k)),
+            "x_lo": (i == 0, (j, k)),
+            "x_hi": (i == nx - 1, (j, k)),
+            "y_hi": (j == ny - 1, (i, k)),
+            "z_hi": (k == nz - 1, (i, j)),
+        }
+        expected_b = np.zeros(nx * ny * nz)
+        for name, (mask, (u, v)) in on_face.items():
+            spec = faces[name]
+            data = spec(u, v) if callable(spec) else np.full(u.shape, spec)
+            expected_b = expected_b + np.where(mask, data, 0.0)
+        assert np.array_equal(problem.rhs, expected_b)
+        faces_touched = sum(mask.astype(int) for mask, _ in on_face.values())
+        assert faces_touched.max() == 3 and np.any(faces_touched == 2)
+
     def test_operator_invariants(self):
         problem = build_laplace_3d(Grid3D(4, 3, 2, DirichletBoundary({"x_lo": 1.0})))
         dense = problem.matrix.to_dense()
@@ -189,29 +230,33 @@ class TestBlockSystem:
     def test_single_block_is_whole_operator(self):
         problem = build_laplace_3d(Grid3D(3, 3, 3))
         decomp = decompose(problem.grid, (1, 1, 1))
-        a_ii, coupling = block_system(problem, decomp, 0)
+        a_ii, coupling, halo_cols = block_system(problem, decomp, 0)
         assert np.array_equal(a_ii.to_dense(), problem.matrix.to_dense())
-        assert coupling == []
+        assert coupling.shape == (27, 0) and coupling.nnz == 0
+        assert halo_cols.size == 0
 
     def test_chain_split_in_two(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1))
         expected = np.array([[6.0, -1.0], [-1.0, 6.0]])
-        a0, c0 = block_system(problem, decomp, 0)
-        a1, c1 = block_system(problem, decomp, 1)
+        a0, c0, h0 = block_system(problem, decomp, 0)
+        a1, c1, h1 = block_system(problem, decomp, 1)
         assert np.array_equal(a0.to_dense(), expected)
         assert np.array_equal(a1.to_dense(), expected)
-        assert c0 == [(1, 2, -1.0)]
-        assert c1 == [(0, 1, -1.0)]
+        # block 0's local row 1 couples to global column 2 with -1, and
+        # block 1's local row 0 to global column 1
+        assert np.array_equal(h0, [2]) and np.array_equal(c0.to_dense(), [[0.0], [-1.0]])
+        assert np.array_equal(h1, [1]) and np.array_equal(c1.to_dense(), [[-1.0], [0.0]])
 
     def test_chain_with_overlap(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1), overlap=1)
-        a0, c0 = block_system(problem, decomp, 0)
+        a0, c0, h0 = block_system(problem, decomp, 0)
         assert a0.num_rows == 3
         expected = np.array([[6.0, -1, 0], [-1, 6, -1], [0, -1, 6]])
         assert np.array_equal(a0.to_dense(), expected)
-        assert c0 == [(2, 3, -1.0)]
+        assert np.array_equal(h0, [3])
+        assert np.array_equal(c0.to_dense(), [[0.0], [0.0], [-1.0]])
 
     @pytest.mark.parametrize("blocks", [(2, 1, 1), (2, 2, 1), (1, 2, 2)])
     def test_slice_oracle(self, blocks):
@@ -220,14 +265,18 @@ class TestBlockSystem:
         dense = problem.matrix.to_dense()
         for b in range(decomp.num_blocks):
             ext = decomp.extended_indices[b]
-            a_ii, coupling = block_system(problem, decomp, b)
+            a_ii, coupling, halo_cols = block_system(problem, decomp, b)
             assert np.array_equal(a_ii.to_dense(), dense[np.ix_(ext, ext)])
             outside = dense[ext].copy()
             outside[:, ext] = 0.0
+            # the halo is exactly the outside columns the extended rows touch
+            assert np.array_equal(halo_cols, np.nonzero(outside.any(axis=0))[0])
+            assert coupling.shape == (ext.size, halo_cols.size)
+            # a_ii, coupling and halo_cols rebuild A's extended rows exactly
             rebuilt = np.zeros_like(outside)
-            for row, col, value in coupling:
-                rebuilt[row, col] += value
-            assert np.array_equal(rebuilt, outside)
+            rebuilt[:, ext] = a_ii.to_dense()
+            rebuilt[:, halo_cols] = coupling.to_dense()
+            assert np.array_equal(rebuilt, dense[ext])
 
     def test_zero_overlap_reconstruction(self):
         problem = build_laplace_3d(Grid3D(4, 4, 4))
@@ -235,8 +284,7 @@ class TestBlockSystem:
         rebuilt = np.zeros((64, 64))
         for b in range(decomp.num_blocks):
             ext = decomp.extended_indices[b]
-            a_ii, coupling = block_system(problem, decomp, b)
+            a_ii, coupling, halo_cols = block_system(problem, decomp, b)
             rebuilt[np.ix_(ext, ext)] += a_ii.to_dense()
-            for row, col, value in coupling:
-                rebuilt[ext[row], col] += value
+            rebuilt[np.ix_(ext, halo_cols)] += coupling.to_dense()
         assert np.array_equal(rebuilt, problem.matrix.to_dense())
