@@ -18,7 +18,7 @@ import numpy as np
 
 from .comm import DelayModel
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
-from .inner_solvers import InnerSolverSpec, solve as standalone_solve
+from .inner_solvers import SOLVER_KINDS, InnerSolverSpec, solve as standalone_solve
 from .multisplit import (
     OuterConfig,
     ResidualTrace,
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("block_grid", "inner_max_its", "overlap", "mode")
+RUN_MODES = ("baseline", "sync", "async")
 
 _DEFAULTS = {
     "nx": "8",
@@ -167,9 +168,9 @@ class ExperimentConfig:
             if key not in _DEFAULTS:
                 raise ConfigurationError(f"{key}: unknown configuration key")
             merged[key] = value
-        if merged["mode"] not in ("baseline", "sync", "async"):
+        if merged["mode"] not in RUN_MODES:
             raise ConfigurationError(f"mode: unknown mode {merged['mode']!r}")
-        if merged["inner"] not in ("jacobi", "cg", "gmres", "direct"):
+        if merged["inner"] not in SOLVER_KINDS:
             raise ConfigurationError(f"inner: unknown solver {merged['inner']!r}")
         if merged["residual_mode"] not in ("paper", "true"):
             raise ConfigurationError(
@@ -365,7 +366,7 @@ def _sweep_values(axis: str, raw: str) -> list:
     if axis == "mode":
         modes = [p for p in raw.split(",") if p]
         for m in modes:
-            if m not in ("baseline", "sync", "async"):
+            if m not in RUN_MODES:
                 raise ConfigurationError(f"values: unknown mode {m!r}")
         return modes
     raise ConfigurationError(f"axis: must be one of {', '.join(SWEEP_AXES)}")

@@ -203,7 +203,6 @@ class Fabric:
         delay: DelayModel,
         topology: list[list[int]],
         record_events: bool = False,
-        tree_arity: int = 2,
     ):
         if num_workers < 1:
             raise ConfigurationError("num_workers: must be at least 1")
@@ -229,7 +228,7 @@ class Fabric:
         self.buffer_slots = buffer_slots
         self.delay = delay
         self.topology = [sorted(set(nbrs)) for nbrs in topology]
-        self.tree = ReductionTree(num_workers, tree_arity)
+        self.tree = ReductionTree(num_workers)
         self.record_events = record_events
         self.events: list[tuple] = []
 
@@ -605,7 +604,6 @@ def create_fabric(
     delay: DelayModel | None = None,
     topology: list[list[int]] | None = None,
     record_events: bool = False,
-    tree_arity: int = 2,
 ) -> Fabric:
     """Build a fabric; deterministic for a fixed seed and scheduling order."""
     if topology is None:
@@ -617,5 +615,4 @@ def create_fabric(
         delay=delay or DelayModel(),
         topology=topology,
         record_events=record_events,
-        tree_arity=tree_arity,
     )

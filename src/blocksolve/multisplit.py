@@ -113,15 +113,23 @@ class BlockState:
     payload_cache: dict[int, np.ndarray]  # latest payload per neighbor
     payload_seq: dict[int, int]  # its outer iteration (-1 = initial guess)
     own_shared: np.ndarray  # this block's latest inner-solve values at shared points
-    owner_halo: np.ndarray  # owning block's latest value per halo column
-    owner_shared: np.ndarray  # owning block's latest value per shared point
+    owner_values: np.ndarray  # owning block's latest value per tracked point
     k: int = 0
     local_residual: float = math.inf
 
 
 @dataclass
 class BlockWorkspace:
-    """Immutable per-block geometry, operators and payload index maps."""
+    """Immutable per-block geometry, operators and payload index maps.
+
+    The block tracks the points it needs from other blocks in one ordering:
+    its halo columns first, then its shared points (the non-owned part of
+    the extended region). The merge reads one value sequence: the block's
+    own values at its shared points, then each neighbor's payload in
+    ``neighbors`` order. ``merge_slots`` gives the tracked slot of every
+    value in that sequence and ``owner_pick`` the position, per tracked
+    point, of the value sent by the point's owning block.
+    """
 
     block_id: int
     ext: np.ndarray  # sorted global indices of the extended region
@@ -134,15 +142,12 @@ class BlockWorkspace:
     owned_global: np.ndarray
     owned_local: np.ndarray
     shared_local: np.ndarray  # non-owned positions of the extended region
-    m_halo: np.ndarray  # covering-block counts per halo column
-    m_shared: np.ndarray  # covering-block counts per shared position
+    cover: np.ndarray  # covering-block counts per tracked point
     neighbors: list[int]
     send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
-    recv_halo: dict[int, tuple[np.ndarray, np.ndarray]]  # payload sel -> halo slot
-    recv_shared: dict[int, tuple[np.ndarray, np.ndarray]]  # payload sel -> shared slot
-    owner_halo_map: dict[int, tuple[np.ndarray, np.ndarray]]  # owner payload -> halo slot
-    owner_shared_map: dict[int, tuple[np.ndarray, np.ndarray]]  # owner payload -> shared slot
     payload_len: dict[int, int]
+    merge_slots: np.ndarray  # tracked slot of each merged value
+    owner_pick: np.ndarray  # merged-value position of each tracked point's owner
 
     @property
     def n_local(self) -> int:
@@ -158,8 +163,7 @@ class BlockWorkspace:
             },
             payload_seq={nbr: -1 for nbr in self.neighbors},
             own_shared=np.zeros(self.shared_local.shape[0]),
-            owner_halo=np.zeros(self.halo_cols.shape[0]),
-            owner_shared=np.zeros(self.shared_local.shape[0]),
+            owner_values=np.zeros(self.cover.shape[0]),
         )
 
 
@@ -170,81 +174,77 @@ def _positions_in(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _membership(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``values`` marking members of ``sorted_arr``."""
-    if not sorted_arr.size:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_arr, values), sorted_arr.size - 1)
-    return sorted_arr[pos] == values
-
-
-def _owned_by(decomp: BlockDecomposition, block: int, points: np.ndarray) -> np.ndarray:
-    """Boolean mask: which global points lie in ``block``'s owned box."""
-    box = decomp.owned[block]
-    nx, ny = decomp.grid.nx, decomp.grid.ny
-    i = points % nx
-    j = (points // nx) % ny
-    k = points // (nx * ny)
-    return (
-        (box.lo[0] <= i)
-        & (i < box.hi[0])
-        & (box.lo[1] <= j)
-        & (j < box.hi[1])
-        & (box.lo[2] <= k)
-        & (k < box.hi[2])
-    )
-
-
 def build_workspaces(
     problem: LinearProblem, decomp: BlockDecomposition
 ) -> list[BlockWorkspace]:
     """Precompute every block's local system and payload index maps.
 
     A payload from block s to block t carries s's values at the points t
-    needs: t's coupled halo columns plus the shared (overlapping) part of
-    t's extended region. Coverage of every needed point is validated here;
-    a gap indicates a decomposition/neighbor-list bug and raises
-    ProtocolError.
+    tracks: t's coupled halo columns plus the shared (overlapping) part of
+    t's extended region, in global index order. Coverage and ownership of
+    every tracked point are validated here; a gap indicates a
+    decomposition/neighbor-list bug and raises ProtocolError.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b))
-    n_blocks = decomp.num_blocks
-
     exts = decomp.extended_indices
-    a_iis: list[SparseMatrix] = []
-    couplings: list[SparseMatrix] = []
-    halo_cols_all: list[np.ndarray] = []
-    owned_glob: list[np.ndarray] = []
-    for blk in range(n_blocks):
-        a_ii, coupling, halo_cols = block_system(problem, decomp, blk)
-        a_iis.append(a_ii)
-        couplings.append(coupling)
-        halo_cols_all.append(halo_cols)
-        owned_glob.append(decomp.owned_indices(blk))
+    owned_glob = [decomp.owned_indices(blk) for blk in range(decomp.num_blocks)]
+    owner_of = np.full(b.shape[0], -1)
+    for blk, owned in enumerate(owned_glob):
+        owner_of[owned] = blk
+    # filled by the receiving block's pass, which may come after the sender's
+    send_idx: list[dict[int, np.ndarray]] = [{} for _ in exts]
 
     workspaces: list[BlockWorkspace] = []
-    for blk in range(n_blocks):
-        ext = exts[blk]
+    for blk, ext in enumerate(exts):
+        a_ii, coupling, halo_cols = block_system(problem, decomp, blk)
         owned_local = _positions_in(ext, owned_glob[blk])
-        owned_mask = np.zeros(ext.shape[0], dtype=bool)
-        owned_mask[owned_local] = True
-        shared_local = np.nonzero(~owned_mask)[0]
-        shared_global = ext[shared_local]
-        halo_cols = halo_cols_all[blk]
-
-        m_halo = decomp.cover_counts[halo_cols].astype(float)
-        if np.any(m_halo < 1):
+        shared_mask = np.ones(ext.shape[0], dtype=bool)
+        shared_mask[owned_local] = False
+        shared_local = np.flatnonzero(shared_mask)
+        n_halo = halo_cols.shape[0]
+        tracked = np.concatenate((halo_cols, ext[shared_local]))
+        cover = decomp.cover_counts[tracked].astype(float)
+        if np.any(cover[:n_halo] < 1):
             raise ProtocolError(
                 f"block {blk}: coupled column outside every extended region"
             )
-        m_shared = decomp.cover_counts[shared_global].astype(float)
+
+        # tracked points in global order, and the tracked slot of each
+        slot_of = np.argsort(tracked)
+        points = tracked[slot_of]
+        neighbors = list(decomp.neighbors[blk])
+        slots = [np.arange(n_halo, tracked.shape[0])]
+        payload_len: dict[int, int] = {}
+        for nbr in neighbors:
+            nbr_ext = exts[nbr]
+            pos = np.minimum(np.searchsorted(nbr_ext, points), nbr_ext.shape[0] - 1)
+            shipped = np.flatnonzero(nbr_ext[pos] == points)
+            send_idx[nbr][blk] = pos[shipped]
+            slots.append(slot_of[shipped])
+            payload_len[nbr] = int(shipped.shape[0])
+        merge_slots = np.concatenate(slots)
+        coverage = np.bincount(merge_slots, minlength=cover.shape[0])
+        if not np.array_equal(coverage, cover):
+            raise ProtocolError(
+                f"block {blk}: payload coverage does not match the covering-block counts"
+            )
+        sources = np.repeat(
+            [blk, *neighbors], [shared_local.shape[0], *payload_len.values()]
+        )
+        from_owner = np.flatnonzero(owner_of[tracked[merge_slots]] == sources)
+        owner_slots = merge_slots[from_owner]
+        if not np.array_equal(np.sort(owner_slots), np.arange(tracked.shape[0])):
+            raise ProtocolError(
+                f"block {blk}: some tracked point is not owned by exactly one neighbor"
+            )
 
         workspaces.append(
             BlockWorkspace(
                 block_id=blk,
                 ext=ext,
-                a_ii=a_iis[blk],
-                coupling=couplings[blk],
+                a_ii=a_ii,
+                coupling=coupling,
                 halo_cols=halo_cols,
                 b_ext=b[ext].copy(),
                 b_owned_norm=float(np.linalg.norm(b[owned_glob[blk]])),
@@ -252,72 +252,14 @@ def build_workspaces(
                 owned_global=owned_glob[blk],
                 owned_local=owned_local,
                 shared_local=shared_local,
-                m_halo=m_halo,
-                m_shared=m_shared,
-                neighbors=list(decomp.neighbors[blk]),
-                send_idx={},
-                recv_halo={},
-                recv_shared={},
-                owner_halo_map={},
-                owner_shared_map={},
-                payload_len={},
+                cover=cover,
+                neighbors=neighbors,
+                send_idx=send_idx[blk],
+                payload_len=payload_len,
+                merge_slots=merge_slots,
+                owner_pick=from_owner[np.argsort(owner_slots)],
             )
         )
-
-    for blk, ws in enumerate(workspaces):
-        shared_global = ws.ext[ws.shared_local]
-        need = np.union1d(shared_global, ws.halo_cols)
-        halo_cover = np.zeros(ws.halo_cols.shape[0])
-        shared_cover = np.zeros(ws.shared_local.shape[0])
-        halo_owners = np.zeros(ws.halo_cols.shape[0])
-        shared_owners = np.zeros(ws.shared_local.shape[0])
-        for nbr in ws.neighbors:
-            shipped = np.intersect1d(exts[nbr], need, assume_unique=True)
-            workspaces[nbr].send_idx[blk] = _positions_in(exts[nbr], shipped)
-            ws.payload_len[nbr] = int(shipped.shape[0])
-            owned_by_nbr = _owned_by(decomp, nbr, shipped)
-
-            in_halo = _membership(ws.halo_cols, shipped)
-            sel = np.nonzero(in_halo)[0]
-            ws.recv_halo[nbr] = (sel, _positions_in(ws.halo_cols, shipped[in_halo]))
-            halo_cover[ws.recv_halo[nbr][1]] += 1
-            mask = in_halo & owned_by_nbr
-            sel = np.nonzero(mask)[0]
-            ws.owner_halo_map[nbr] = (sel, _positions_in(ws.halo_cols, shipped[mask]))
-            halo_owners[ws.owner_halo_map[nbr][1]] += 1
-
-            in_shared = _membership(shared_global, shipped)
-            sel = np.nonzero(in_shared)[0]
-            ws.recv_shared[nbr] = (
-                sel,
-                _positions_in(shared_global, shipped[in_shared]),
-            )
-            shared_cover[ws.recv_shared[nbr][1]] += 1
-            mask = in_shared & owned_by_nbr
-            sel = np.nonzero(mask)[0]
-            ws.owner_shared_map[nbr] = (
-                sel,
-                _positions_in(shared_global, shipped[mask]),
-            )
-            shared_owners[ws.owner_shared_map[nbr][1]] += 1
-            if not np.all(in_halo | in_shared):
-                raise ProtocolError(
-                    f"payload from block {nbr} to {blk} carries unneeded points"
-                )
-
-        if not np.array_equal(halo_cover, ws.m_halo):
-            raise ProtocolError(
-                f"block {blk}: halo coverage does not match the covering-block counts"
-            )
-        if not np.array_equal(shared_cover, ws.m_shared - 1.0):
-            raise ProtocolError(
-                f"block {blk}: overlap coverage does not match the covering-block counts"
-            )
-        if np.any(halo_owners != 1.0) or np.any(shared_owners != 1.0):
-            raise ProtocolError(
-                f"block {blk}: some tracked point is not owned by exactly one neighbor"
-            )
-
     return workspaces
 
 
@@ -329,6 +271,18 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
     return rhs
 
 
+def _merge(
+    ws: BlockWorkspace, own_shared: np.ndarray, payloads: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(merged values, equal-weight mean per tracked point).
+
+    ``bincount`` sums each slot's values in sequence order, so every point
+    adds the block's own value first and then its neighbors' in order.
+    """
+    values = np.concatenate([own_shared, *payloads])
+    return values, np.bincount(ws.merge_slots, values, ws.cover.shape[0]) / ws.cover
+
+
 def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     """Merge cached neighbor contributions into halo and overlap values.
 
@@ -338,26 +292,13 @@ def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     modified. The owner-canonical values (each point as reported by its
     owning block) are refreshed alongside for residual evaluation.
     """
-    if ws.halo_cols.size:
-        acc = np.zeros(ws.halo_cols.shape[0])
-        for nbr in ws.neighbors:
-            sel, slots = ws.recv_halo[nbr]
-            if sel.size:
-                acc[slots] += state.payload_cache[nbr][sel]
-            sel, slots = ws.owner_halo_map[nbr]
-            if sel.size:
-                state.owner_halo[slots] = state.payload_cache[nbr][sel]
-        state.halo_values = acc / ws.m_halo
-    if ws.shared_local.size:
-        acc = state.own_shared.copy()
-        for nbr in ws.neighbors:
-            sel, slots = ws.recv_shared[nbr]
-            if sel.size:
-                acc[slots] += state.payload_cache[nbr][sel]
-            sel, slots = ws.owner_shared_map[nbr]
-            if sel.size:
-                state.owner_shared[slots] = state.payload_cache[nbr][sel]
-        state.x_local[ws.shared_local] = acc / ws.m_shared
+    values, mean = _merge(
+        ws, state.own_shared, [state.payload_cache[nbr] for nbr in ws.neighbors]
+    )
+    n_halo = ws.halo_cols.shape[0]
+    state.halo_values = mean[:n_halo]
+    state.x_local[ws.shared_local] = mean[n_halo:]
+    state.owner_values = values[ws.owner_pick]
 
 
 def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
@@ -370,14 +311,15 @@ def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
     Denominator: the owned part of ||b||, falling back to the global ||b||
     when the owned part is zero.
     """
+    n_halo = ws.halo_cols.shape[0]
     if ws.shared_local.size:
         x_view = state.x_local.copy()
-        x_view[ws.shared_local] = state.owner_shared
+        x_view[ws.shared_local] = state.owner_values[n_halo:]
     else:
         x_view = state.x_local
     r = ws.b_ext - spmv(ws.a_ii, x_view)
-    if ws.halo_cols.size:
-        r -= spmv(ws.coupling, state.owner_halo)
+    if n_halo:
+        r -= spmv(ws.coupling, state.owner_values[:n_halo])
     num = float(np.linalg.norm(r[ws.owned_local]))
     den = ws.b_owned_norm
     if den == 0.0:
@@ -503,7 +445,6 @@ class _WorkerContext:
         self.state = workspace.initial_state()
         self.records: list[_IterationRecord] = []
         self.converged = False
-        self.error: BaseException | None = None
         self.t0 = 0.0
         self.gen = _block_worker(self)
 
@@ -556,93 +497,90 @@ def _block_worker(ctx: _WorkerContext):
     solver = _make_inner_solver(ws, cfg.inner)
     replay = cfg.execution == "replay"
     k = 0
-    try:
-        while True:
-            if fabric.stop_requested():
-                # only the driver raises this, after verifying convergence
-                ctx.converged = True
-                return
-            fabric.begin_iteration(ws.block_id, k)
+    while True:
+        if fabric.stop_requested():
+            # only the driver raises this, after verifying convergence
+            ctx.converged = True
+            return
+        fabric.begin_iteration(ws.block_id, k)
 
-            rhs = assemble_block_rhs(ws, state.halo_values)
-            x_new, report = solver(rhs, state.x_local)
-            if report.stop_reason == "breakdown":
-                raise SolverBreakdownError(
-                    ws.block_id, k, f"{cfg.inner.kind} reported breakdown"
-                )
-            state.x_local = x_new
-            state.own_shared = x_new[ws.shared_local].copy()
+        rhs = assemble_block_rhs(ws, state.halo_values)
+        x_new, report = solver(rhs, state.x_local)
+        if report.stop_reason == "breakdown":
+            raise SolverBreakdownError(
+                ws.block_id, k, f"{cfg.inner.kind} reported breakdown"
+            )
+        state.x_local = x_new
+        state.own_shared = x_new[ws.shared_local].copy()
 
-            outgoing = {nbr: x_new[ws.send_idx[nbr]] for nbr in ws.neighbors}
-            if cfg.mode == "sync":
-                incoming = yield from fabric.halo_exchange_sync(
+        outgoing = {nbr: x_new[ws.send_idx[nbr]] for nbr in ws.neighbors}
+        if cfg.mode == "sync":
+            incoming = yield from fabric.halo_exchange_sync(
+                ws.block_id, outgoing, k
+            )
+        else:
+            incoming = fabric.halo_exchange_async(ws.block_id, outgoing, k)
+        for nbr, message in incoming.items():
+            state.payload_cache[nbr] = message.payload
+            state.payload_seq[nbr] = message.outer_iteration
+
+        merge_overlap(ws, state)
+        r_local = local_relative_residual(ws, state)
+        state.local_residual = r_local
+
+        if cfg.mode == "sync":
+            total = yield from fabric.reduce_sync(ws.block_id, r_local**2, k)
+            estimate = math.sqrt(total)
+        else:
+            total, _ = fabric.reduce_async(ws.block_id, r_local**2, k)
+            estimate = math.sqrt(total) if math.isfinite(total) else math.inf
+
+        staleness = 0
+        for nbr in ws.neighbors:
+            staleness = max(staleness, k - state.payload_seq[nbr])
+        now = float(k) if replay else time.perf_counter() - ctx.t0
+        ctx.records.append(
+            _IterationRecord(k, now, estimate, report.iterations_used, staleness)
+        )
+
+        done = False
+        decision = check_termination(estimate, cfg.tol, k + 1, cfg.max_outer, cfg.mode)
+        if cfg.mode == "sync":
+            if decision == "stop":
+                ctx.converged = estimate < cfg.tol
+                done = True
+        else:
+            if decision == "confirm":
+                fabric.request_confirm()
+            if fabric.confirm_pending():
+                # flush iteration-k payloads synchronously so the
+                # confirmed residues describe one consistent iterate
+                flushed = yield from fabric.confirm_exchange(
                     ws.block_id, outgoing, k
                 )
-            else:
-                incoming = fabric.halo_exchange_async(ws.block_id, outgoing, k)
-            for nbr, message in incoming.items():
-                state.payload_cache[nbr] = message.payload
-                state.payload_seq[nbr] = message.outer_iteration
-
-            merge_overlap(ws, state)
-            r_local = local_relative_residual(ws, state)
-            state.local_residual = r_local
-
-            if cfg.mode == "sync":
-                total = yield from fabric.reduce_sync(ws.block_id, r_local**2, k)
-                estimate = math.sqrt(total)
-            else:
-                total, _ = fabric.reduce_async(ws.block_id, r_local**2, k)
-                estimate = math.sqrt(total) if math.isfinite(total) else math.inf
-
-            staleness = 0
-            for nbr in ws.neighbors:
-                staleness = max(staleness, k - state.payload_seq[nbr])
-            now = float(k) if replay else time.perf_counter() - ctx.t0
-            ctx.records.append(
-                _IterationRecord(k, now, estimate, report.iterations_used, staleness)
-            )
-
-            done = False
-            decision = check_termination(estimate, cfg.tol, k + 1, cfg.max_outer, cfg.mode)
-            if cfg.mode == "sync":
-                if decision == "stop":
-                    ctx.converged = estimate < cfg.tol
-                    done = True
-            else:
-                if decision == "confirm":
-                    fabric.request_confirm()
-                if fabric.confirm_pending():
-                    # flush iteration-k payloads synchronously so the
-                    # confirmed residues describe one consistent iterate
-                    flushed = yield from fabric.confirm_exchange(
-                        ws.block_id, outgoing, k
+                for nbr, message in flushed.items():
+                    state.payload_cache[nbr] = message.payload
+                    state.payload_seq[nbr] = max(
+                        state.payload_seq[nbr], message.outer_iteration
                     )
-                    for nbr, message in flushed.items():
-                        state.payload_cache[nbr] = message.payload
-                        state.payload_seq[nbr] = max(
-                            state.payload_seq[nbr], message.outer_iteration
-                        )
-                    merge_overlap(ws, state)
-                    r_local = local_relative_residual(ws, state)
-                    state.local_residual = r_local
-                    confirmed = yield from fabric.confirm_round(
-                        ws.block_id, r_local**2
-                    )
-                    if math.sqrt(confirmed) < cfg.tol:
-                        ctx.converged = True
-                        done = True
-                if not done and decision == "stop":
-                    ctx.converged = False
+                merge_overlap(ws, state)
+                r_local = local_relative_residual(ws, state)
+                state.local_residual = r_local
+                confirmed = yield from fabric.confirm_round(
+                    ws.block_id, r_local**2
+                )
+                if math.sqrt(confirmed) < cfg.tol:
+                    ctx.converged = True
                     done = True
+            if not done and decision == "stop":
+                ctx.converged = False
+                done = True
 
-            state.k = k + 1
-            yield ("iter", k)
-            if done:
-                return
-            k += 1
-    finally:
-        fabric.deregister(ws.block_id)
+        state.k = k + 1
+        yield ("iter", k)
+        if done:
+            return
+        k += 1
 
 
 def _gather_solution(
@@ -699,6 +637,7 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
             try:
                 signal = next(contexts[wid].gen)
             except StopIteration:
+                fabric.deregister(wid)
                 alive.discard(wid)
                 progressed = True
                 continue
@@ -713,6 +652,13 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
 
 
 def _run_threads(contexts, fabric):
+    """Run one thread per worker; raise the first error any worker raised.
+
+    A worker's error is recorded before the worker deregisters, so a
+    neighbor that then fails on the missing worker is recorded after it.
+    """
+    errors: list[BaseException] = []
+    errors_lock = threading.Lock()
     t0 = time.perf_counter()
     for ctx in contexts:
         ctx.t0 = t0
@@ -728,8 +674,11 @@ def _run_threads(contexts, fabric):
                 if signal is None:
                     fabric.wait_for_change(version)
         except BaseException as exc:  # propagated after join
-            ctx.error = exc
+            with errors_lock:
+                errors.append(exc)
             fabric.request_stop()
+        finally:
+            fabric.deregister(ctx.workspace.block_id)
 
     threads = [
         threading.Thread(target=drive, args=(ctx,), name=f"block-{ctx.workspace.block_id}")
@@ -739,9 +688,8 @@ def _run_threads(contexts, fabric):
         t.start()
     for t in threads:
         t.join()
-    for ctx in contexts:
-        if ctx.error is not None:
-            raise ctx.error
+    if errors:
+        raise errors[0]
 
 
 def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
@@ -823,13 +771,12 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
         out = np.empty_like(z)
         for i, ws in enumerate(workspaces):
             if ws.halo_cols.size:
-                acc = np.zeros(ws.halo_cols.shape[0])
-                for nbr in ws.neighbors:
-                    payload = parts[nbr][workspaces[nbr].send_idx[i]]
-                    sel, slots = ws.recv_halo[nbr]
-                    if sel.size:
-                        acc[slots] += payload[sel]
-                rhs = -spmv(ws.coupling, acc / ws.m_halo)
+                _, mean = _merge(
+                    ws,
+                    parts[i][ws.shared_local],
+                    [parts[nbr][workspaces[nbr].send_idx[i]] for nbr in ws.neighbors],
+                )
+                rhs = -spmv(ws.coupling, mean[: ws.halo_cols.shape[0]])
             else:
                 rhs = np.zeros(ws.n_local)
             out[offsets[i] : offsets[i + 1]] = scipy.linalg.lu_solve(lus[i], rhs)

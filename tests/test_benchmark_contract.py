@@ -42,6 +42,14 @@ def test_traced_solve_records_every_layer(kind, inner_spans):
         result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
     assert result.converged
     _, _, calls = tracer.totals()
-    expected = {"spmv", "block_system", "build_laplace_3d"} | inner_spans
+    expected = {
+        "spmv",
+        "block_system",
+        "build_laplace_3d",
+        "build_workspaces",
+        "merge_overlap",
+        "local_residual",
+        "assemble_rhs",
+    } | inner_spans
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"

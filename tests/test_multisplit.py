@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from blocksolve import multisplit
 from blocksolve.comm import DelayModel
-from blocksolve.errors import ConfigurationError, SolverBreakdownError
-from blocksolve.inner_solvers import InnerSolverSpec
+from blocksolve.errors import ConfigurationError, ProtocolError, SolverBreakdownError
+from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec
 from blocksolve.linalg import SparseMatrix, dense_solve, power_iteration
 from blocksolve.multisplit import (
     OuterConfig,
@@ -22,6 +23,7 @@ from blocksolve.multisplit import (
     true_relative_residual,
 )
 from blocksolve.problems import (
+    Box,
     DirichletBoundary,
     Grid3D,
     LinearProblem,
@@ -49,6 +51,46 @@ def seed_state_with(workspaces, states, x_global):
             state.payload_cache[nbr] = x_global[sender.ext][sender.send_idx[ws.block_id]]
             state.payload_seq[nbr] = 0
         merge_overlap(ws, state)
+
+
+def drop_neighbor_pair(decomp):
+    decomp.neighbors[0].remove(1)
+    decomp.neighbors[1].remove(0)
+
+
+def zero_cover_outside_block_0(decomp):
+    outside = np.ones(decomp.cover_counts.shape[0], dtype=bool)
+    outside[decomp.extended_indices[0]] = False
+    decomp.cover_counts[outside] = 0
+
+
+def shrink_owned_box_of_block_1(decomp):
+    # the dropped x-plane stays in block 1's extended region, owned by no block
+    box = decomp.owned[1]
+    decomp.owned[1] = Box((box.lo[0] + 1, box.lo[1], box.lo[2]), box.hi)
+
+
+def drop_owned_point_from_extended_region(decomp):
+    decomp.extended_indices[0] = decomp.extended_indices[0][1:]
+
+
+class TestBuildWorkspaceGuards:
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (drop_neighbor_pair, "payload coverage"),
+            (zero_cover_outside_block_0, "outside every extended region"),
+            (shrink_owned_box_of_block_1, "not owned by exactly one neighbor"),
+            (drop_owned_point_from_extended_region, "membership"),
+        ],
+    )
+    def test_corrupt_decomposition_raises(self, corrupt, message):
+        problem = make_problem(4)
+        decomp = decompose(problem.grid, (2, 2, 1), 1)
+        build_workspaces(problem, decomp)
+        corrupt(decomp)
+        with pytest.raises(ProtocolError, match=message):
+            build_workspaces(problem, decomp)
 
 
 class TestAssembleRhs:
@@ -121,6 +163,44 @@ class TestMergeOverlap:
         for ws, state in zip(workspaces, states):
             assert np.abs(state.x_local - x_global[ws.ext]).max() <= 1e-15
             assert np.abs(state.halo_values - x_global[ws.halo_cols]).max() <= 1e-15
+
+    def test_merge_oracle_over_covering_blocks(self):
+        # (2, 2, 2) with overlap 1: points next to two or three cuts are
+        # covered by up to four blocks
+        problem = make_problem(6)
+        decomp = decompose(problem.grid, (2, 2, 2), overlap=1)
+        assert decomp.cover_counts.max() > 2
+        workspaces = build_workspaces(problem, decomp)
+        rng = np.random.default_rng(11)
+        # block c reports values[c][p] at every point p it covers
+        values = rng.standard_normal((decomp.num_blocks, problem.grid.num_unknowns))
+        owner = np.empty(problem.grid.num_unknowns, dtype=int)
+        for blk in range(decomp.num_blocks):
+            owner[decomp.owned_indices(blk)] = blk
+        for ws in workspaces:
+            state = ws.initial_state()
+            state.x_local = values[ws.block_id][ws.ext].copy()
+            state.own_shared = state.x_local[ws.shared_local].copy()
+            for nbr in ws.neighbors:
+                sender = workspaces[nbr]
+                state.payload_cache[nbr] = values[nbr][sender.ext[sender.send_idx[ws.block_id]]]
+            merge_overlap(ws, state)
+
+            owned = decomp.owned_indices(ws.block_id)
+            shared = np.setdiff1d(ws.ext, owned)
+            for points, merged in (
+                (ws.halo_cols, state.halo_values),
+                (shared, state.x_local[np.searchsorted(ws.ext, shared)]),
+            ):
+                covering = [
+                    [c for c, ext in enumerate(decomp.extended_indices) if p in ext]
+                    for p in points
+                ]
+                expected = [np.mean(values[cs, p]) for cs, p in zip(covering, points)]
+                assert merged == pytest.approx(expected, rel=1e-14, abs=1e-14)
+            tracked = np.concatenate((ws.halo_cols, shared))
+            assert np.array_equal(state.owner_values, values[owner[tracked], tracked])
+            assert np.array_equal(state.x_local[ws.owned_local], values[ws.block_id][owned])
 
 
 class TestResidualCombination:
@@ -315,6 +395,28 @@ class TestOuterSolve:
             result = outer_solve(problem, config)
             assert result.converged
             assert result.final_true_residual <= 1e-6
+
+    def test_threads_breakdown_surfaces_failing_block(self, monkeypatch):
+        # block 1's two-row system breaks down at iteration 0 while block 0
+        # waits for its payload; the secondary deadlock must not mask it
+        original = multisplit.inner_solve
+
+        def breaks_on_block_1(a, rhs, x0, spec):
+            if a.num_rows == 2:
+                return x0, InnerSolveReport(0, math.inf, "breakdown")
+            return original(a, rhs, x0, spec)
+
+        monkeypatch.setattr(multisplit, "inner_solve", breaks_on_block_1)
+        problem = build_laplace_3d(Grid3D(5, 1, 1, DirichletBoundary({"x_lo": 1.0})))
+        for execution in ("replay", "threads"):
+            config = OuterConfig(
+                block_grid=(2, 1, 1),
+                inner=InnerSolverSpec("gmres", 2),
+                execution=execution,
+            )
+            with pytest.raises(SolverBreakdownError, match="block 1") as err:
+                outer_solve(problem, config)
+            assert err.value.block_id == 1
 
     def test_direct_refuses_block_over_dense_cap(self, monkeypatch):
         # one 21x21x19 block has 8379 rows, over the 8192-row dense cap
