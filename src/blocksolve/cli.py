@@ -13,6 +13,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .comm import DelayModel
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import SOLVER_KINDS, InnerSolverSpec, solve as standalone_solve
 from .multisplit import (
+    EXECUTIONS,
+    RESIDUAL_MODES,
     OuterConfig,
     ResidualTrace,
     TraceRow,
@@ -37,33 +40,7 @@ __all__ = [
     "main",
 ]
 
-SWEEP_AXES = ("block_grid", "inner_max_its", "overlap", "mode")
 RUN_MODES = ("baseline", "sync", "async")
-
-_DEFAULTS = {
-    "nx": "8",
-    "ny": "8",
-    "nz": "8",
-    "boundary": "faces:x_lo=1",
-    "gx": "1",
-    "gy": "1",
-    "gz": "1",
-    "overlap": "0",
-    "inner": "gmres",
-    "inner_its": "10",
-    "inner_tol": "0",
-    "restart": "",
-    "mode": "sync",
-    "R": "100",
-    "delay": "none",
-    "seed": "0",
-    "tol": "1e-6",
-    "max_outer": "5000",
-    "residual_mode": "paper",
-    "true_res_every": "10",
-    "exec": "replay",
-    "out": "trace.csv",
-}
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -78,6 +55,17 @@ def _parse_float(raw: str, key: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: invalid number {raw!r}") from None
+
+
+def _choice(options: tuple[str, ...], noun: str):
+    """Parser accepting only ``options``; the error names the key and ``noun``."""
+
+    def parse(raw: str, key: str) -> str:
+        if raw not in options:
+            raise ConfigurationError(f"{key}: unknown {noun} {raw!r}")
+        return raw
+
+    return parse
 
 
 def parse_delay(raw: str, seed: int) -> DelayModel:
@@ -134,6 +122,58 @@ def format_boundary(boundary: DirichletBoundary) -> str:
     return "faces:" + ",".join(f"{name}={format(faces[name], '.17g')}" for name in FACES)
 
 
+class ConfigKey(NamedTuple):
+    """How one ``key=value`` setting maps onto an ``ExperimentConfig`` field."""
+
+    field: str
+    parse: Callable[[str, str], Any]  # (raw, key) -> value; errors name the key
+    format: Callable[[Any], str]  # value -> raw, which re-parses to an equal value
+    default: str
+
+
+# Every configuration key, in flag, help and echo order. The delay is parsed
+# with seed 0 and gets the parsed seed afterwards (see from_mapping).
+CONFIG_KEYS = {
+    "nx": ConfigKey("nx", _parse_int, str, "8"),
+    "ny": ConfigKey("ny", _parse_int, str, "8"),
+    "nz": ConfigKey("nz", _parse_int, str, "8"),
+    "boundary": ConfigKey(
+        "boundary", lambda raw, key: parse_boundary(raw), format_boundary, "faces:x_lo=1"
+    ),
+    "gx": ConfigKey("gx", _parse_int, str, "1"),
+    "gy": ConfigKey("gy", _parse_int, str, "1"),
+    "gz": ConfigKey("gz", _parse_int, str, "1"),
+    "overlap": ConfigKey("overlap", _parse_int, str, "0"),
+    "inner": ConfigKey("inner", _choice(SOLVER_KINDS, "solver"), str, "gmres"),
+    "inner_its": ConfigKey("inner_its", _parse_int, str, "10"),
+    "inner_tol": ConfigKey("inner_tol", _parse_float, "{:.17g}".format, "0"),
+    "restart": ConfigKey(
+        "restart",
+        lambda raw, key: None if raw == "" else _parse_int(raw, key),
+        lambda value: "" if value is None else str(value),
+        "",
+    ),
+    "mode": ConfigKey("mode", _choice(RUN_MODES, "mode"), str, "sync"),
+    "R": ConfigKey("buffer_slots", _parse_int, str, "100"),
+    "delay": ConfigKey("delay", lambda raw, key: parse_delay(raw, 0), format_delay, "none"),
+    "seed": ConfigKey("seed", _parse_int, str, "0"),
+    "tol": ConfigKey("tol", _parse_float, "{:.17g}".format, "1e-6"),
+    "max_outer": ConfigKey("max_outer", _parse_int, str, "5000"),
+    "residual_mode": ConfigKey("residual_mode", _choice(RESIDUAL_MODES, "mode"), str, "paper"),
+    "true_res_every": ConfigKey("true_res_every", _parse_int, str, "10"),
+    "exec": ConfigKey("execution", _choice(EXECUTIONS, "execution"), str, "replay"),
+    "out": ConfigKey("out", lambda raw, key: raw, str, "trace.csv"),
+}
+
+# the configuration keys one sweep value sets
+SWEEP_AXES = {
+    "block_grid": ("gx", "gy", "gz"),
+    "inner_max_its": ("inner_its",),
+    "overlap": ("overlap",),
+    "mode": ("mode",),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-resolved configuration of one experiment."""
@@ -163,76 +203,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        merged = dict(_DEFAULTS)
-        for key, value in raw.items():
-            if key not in _DEFAULTS:
+        for key in raw:
+            if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"{key}: unknown configuration key")
-            merged[key] = value
-        if merged["mode"] not in RUN_MODES:
-            raise ConfigurationError(f"mode: unknown mode {merged['mode']!r}")
-        if merged["inner"] not in SOLVER_KINDS:
-            raise ConfigurationError(f"inner: unknown solver {merged['inner']!r}")
-        if merged["residual_mode"] not in ("paper", "true"):
-            raise ConfigurationError(
-                f"residual_mode: unknown mode {merged['residual_mode']!r}"
-            )
-        if merged["exec"] not in ("replay", "threads"):
-            raise ConfigurationError(f"exec: unknown execution {merged['exec']!r}")
-        seed = _parse_int(merged["seed"], "seed")
-        return cls(
-            nx=_parse_int(merged["nx"], "nx"),
-            ny=_parse_int(merged["ny"], "ny"),
-            nz=_parse_int(merged["nz"], "nz"),
-            boundary=parse_boundary(merged["boundary"]),
-            gx=_parse_int(merged["gx"], "gx"),
-            gy=_parse_int(merged["gy"], "gy"),
-            gz=_parse_int(merged["gz"], "gz"),
-            overlap=_parse_int(merged["overlap"], "overlap"),
-            inner=merged["inner"],
-            inner_its=_parse_int(merged["inner_its"], "inner_its"),
-            inner_tol=_parse_float(merged["inner_tol"], "inner_tol"),
-            restart=None
-            if merged["restart"] == ""
-            else _parse_int(merged["restart"], "restart"),
-            mode=merged["mode"],
-            buffer_slots=_parse_int(merged["R"], "R"),
-            delay=parse_delay(merged["delay"], seed),
-            seed=seed,
-            tol=_parse_float(merged["tol"], "tol"),
-            max_outer=_parse_int(merged["max_outer"], "max_outer"),
-            residual_mode=merged["residual_mode"],
-            true_res_every=_parse_int(merged["true_res_every"], "true_res_every"),
-            execution=merged["exec"],
-            out=merged["out"],
-        )
+        values = {
+            spec.field: spec.parse(raw.get(key, spec.default), key)
+            for key, spec in CONFIG_KEYS.items()
+        }
+        values["delay"] = dataclasses.replace(values["delay"], seed=values["seed"])
+        return cls(**values)
 
     def echo(self) -> str:
         """Canonical key=value form; re-parses to an equal configuration."""
-        pairs = [
-            ("nx", str(self.nx)),
-            ("ny", str(self.ny)),
-            ("nz", str(self.nz)),
-            ("boundary", format_boundary(self.boundary)),
-            ("gx", str(self.gx)),
-            ("gy", str(self.gy)),
-            ("gz", str(self.gz)),
-            ("overlap", str(self.overlap)),
-            ("inner", self.inner),
-            ("inner_its", str(self.inner_its)),
-            ("inner_tol", format(self.inner_tol, ".17g")),
-            ("restart", "" if self.restart is None else str(self.restart)),
-            ("mode", self.mode),
-            ("R", str(self.buffer_slots)),
-            ("delay", format_delay(self.delay)),
-            ("seed", str(self.seed)),
-            ("tol", format(self.tol, ".17g")),
-            ("max_outer", str(self.max_outer)),
-            ("residual_mode", self.residual_mode),
-            ("true_res_every", str(self.true_res_every)),
-            ("exec", self.execution),
-            ("out", self.out),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in pairs)
+        return "\n".join(
+            f"{key}={spec.format(getattr(self, spec.field))}"
+            for key, spec in CONFIG_KEYS.items()
+        )
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -267,12 +253,7 @@ def run(config: ExperimentConfig) -> RunSummary:
     problem = build_laplace_3d(grid)
 
     if config.mode == "baseline":
-        spec = InnerSolverSpec(
-            kind=config.inner,
-            max_iterations=config.max_outer,
-            tolerance=config.tol,
-            restart=config.restart,
-        )
+        spec = InnerSolverSpec(config.inner, config.max_outer, config.tol, config.restart)
         x0 = np.zeros(problem.grid.num_unknowns)
         x, report = standalone_solve(problem.matrix, problem.rhs, x0, spec)
         if report.stop_reason == "breakdown":
@@ -294,10 +275,7 @@ def run(config: ExperimentConfig) -> RunSummary:
             block_grid=(config.gx, config.gy, config.gz),
             overlap=config.overlap,
             inner=InnerSolverSpec(
-                kind=config.inner,
-                max_iterations=config.inner_its,
-                tolerance=config.inner_tol,
-                restart=config.restart,
+                config.inner, config.inner_its, config.inner_tol, config.restart
             ),
             mode=config.mode,
             buffer_slots=config.buffer_slots,
@@ -350,60 +328,32 @@ def format_summary(summary: RunSummary) -> str:
     return "\n".join(lines)
 
 
-def _sweep_values(axis: str, raw: str) -> list:
-    if axis == "block_grid":
-        values = []
-        for item in raw.split(";"):
-            parts = [p for p in item.split(",") if p]
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"values: block grid {item!r} is not gx,gy,gz"
-                )
-            values.append(tuple(_parse_int(p, "values") for p in parts))
-        return values
-    if axis in ("inner_max_its", "overlap"):
-        return [_parse_int(p, "values") for p in raw.split(",") if p]
-    if axis == "mode":
-        modes = [p for p in raw.split(",") if p]
-        for m in modes:
-            if m not in RUN_MODES:
-                raise ConfigurationError(f"values: unknown mode {m!r}")
-        return modes
-    raise ConfigurationError(f"axis: must be one of {', '.join(SWEEP_AXES)}")
-
-
-def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "block_grid":
-        return dataclasses.replace(config, gx=value[0], gy=value[1], gz=value[2])
-    if axis == "inner_max_its":
-        return dataclasses.replace(config, inner_its=value)
-    if axis == "overlap":
-        return dataclasses.replace(config, overlap=value)
-    return dataclasses.replace(config, mode=value)
-
-
-def _value_tag(axis: str, value) -> str:
-    if axis == "block_grid":
-        return "x".join(str(v) for v in value)
-    return str(value)
-
-
 def sweep(
     config: ExperimentConfig, axis: str, values_raw: str
 ) -> list[tuple[str, RunSummary]]:
-    """Run one configuration per value, everything else (and the seed) fixed."""
-    if axis not in SWEEP_AXES:
+    """Run one configuration per value, everything else (and the seed) fixed.
+
+    Every value is parsed before the first run, so a bad one writes no trace.
+    """
+    keys = SWEEP_AXES.get(axis)
+    if keys is None:
         raise ConfigurationError(f"axis: must be one of {', '.join(SWEEP_AXES)}")
+    specs = [CONFIG_KEYS[key] for key in keys]
+    # values of a multi-key axis are separated by ';' and their parts by ','
+    items = values_raw.split(";") if len(keys) > 1 else [v for v in values_raw.split(",") if v]
     out = Path(config.out)
-    results = []
-    for value in _sweep_values(axis, values_raw):
-        tag = _value_tag(axis, value)
-        per_value = _apply_axis(config, axis, value)
-        per_value = dataclasses.replace(
-            per_value, out=str(out.with_name(f"{out.stem}_{axis}_{tag}{out.suffix}"))
-        )
-        results.append((tag, run(per_value)))
-    return results
+    runs = []
+    for item in items:
+        parts = [p for p in item.split(",") if p]
+        if len(parts) != len(keys):
+            raise ConfigurationError(
+                f"values: {axis.replace('_', ' ')} {item!r} is not {','.join(keys)}"
+            )
+        values = {spec.field: spec.parse(part, "values") for spec, part in zip(specs, parts)}
+        tag = "x".join(spec.format(values[spec.field]) for spec in specs)
+        name = f"{out.stem}_{axis}_{tag}{out.suffix}"
+        runs.append((tag, dataclasses.replace(config, **values, out=str(out.with_name(name)))))
+    return [(tag, run(per_value)) for tag, per_value in runs]
 
 
 def format_sweep(axis: str, results: list[tuple[str, RunSummary]]) -> str:
@@ -520,19 +470,16 @@ def compare_csv(rows: list[dict]) -> str:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    for key in _DEFAULTS:
-        flag = "--" + key.replace("_", "-") if key != "R" else "--R"
-        parser.add_argument(flag, dest=key, help=f"(default {_DEFAULTS[key] or 'none'})")
+    for key, spec in CONFIG_KEYS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, help=f"(default {spec.default or 'none'})"
+        )
 
 
 def _collect_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict[str, str] = {}
-    if args.config:
-        raw.update(parse_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
+    raw = parse_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
     return ExperimentConfig.from_mapping(raw)
 
 

@@ -72,6 +72,8 @@ class DelayModel:
             0 <= self.low <= self.high
         ):
             raise ConfigurationError("delay: bounds must satisfy 0 <= low <= high")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be non-negative, got {self.seed}")
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.kind == "none":
@@ -238,6 +240,7 @@ class Fabric:
         self._version = 0
         self._iteration = [-1] * num_workers
         self._live = set(range(num_workers))
+        self._waiting: dict[int, int] = {}  # worker -> version it waits to move past
 
         self._pools: dict[tuple[int, int], HaloBufferPool] = {}
         self._sync_board: dict[tuple[int, int], dict[int, np.ndarray]] = {}
@@ -280,13 +283,27 @@ class Fabric:
         if self.record_events:
             self.events.append(item)
 
-    def wait_for_change(self, seen_version: int, timeout: float = 30.0) -> None:
-        """Block until the fabric state moves past ``seen_version``."""
+    def wait_for_change(self, block_id: int, seen_version: int) -> None:
+        """Block until the fabric state moves past ``seen_version``.
+
+        Only a live worker moves the fabric, so once every live worker waits
+        on the current version none ever will: that is a deadlock, and the
+        worker whose wait completes that set raises ProtocolError. A worker
+        that is still computing, or was notified but has not yet woken, is
+        not waiting on the current version.
+        """
         with self._changed:
-            if self._version != seen_version:
-                return
-            if not self._changed.wait(timeout):
-                raise ProtocolError("fabric made no progress (possible deadlock)")
+            self._waiting[block_id] = seen_version
+            try:
+                while self._version == seen_version:
+                    if all(self._waiting.get(w) == seen_version for w in self._live):
+                        raise ProtocolError(
+                            f"fabric made no progress: every live worker "
+                            f"{sorted(self._live)} is waiting (deadlock)"
+                        )
+                    self._changed.wait()
+            finally:
+                del self._waiting[block_id]
 
     def begin_iteration(self, block_id: int, k: int) -> None:
         with self._lock:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import SparseMatrix, as_vector, dense_solve, spmv
+from .errors import ConfigurationError
+from .linalg import DENSE_ORACLE_CAP, SparseMatrix, as_vector, spmv
 
 __all__ = [
     "InnerSolverSpec",
@@ -27,6 +28,7 @@ __all__ = [
     "jacobi_solve",
     "cg_solve",
     "gmres_solve",
+    "factor_direct",
     "solve",
 ]
 
@@ -246,14 +248,36 @@ def gmres_solve(
             return x, InnerSolveReport(total, rel_true, "breakdown", history)
 
 
+def factor_direct(a: SparseMatrix, block_id: int):
+    """Dense LU factor of block ``block_id``'s ``a``, computed once.
+
+    Returns ``solve(b) -> (x, report)``, an exact solve that counts as one
+    iteration. A singular factor gives a non-finite residual, which reports
+    ``breakdown``. Blocks above the dense oracle's cap are refused before
+    anything is densified.
+    """
+    if a.num_rows > DENSE_ORACLE_CAP:
+        raise ConfigurationError(
+            f"inner: the direct solve of block {block_id} needs a dense factor of "
+            f"{a.num_rows} rows, above the cap of {DENSE_ORACLE_CAP}"
+        )
+    lu = scipy.linalg.lu_factor(a.to_dense())
+
+    def solve_factored(b) -> tuple[np.ndarray, InnerSolveReport]:
+        b = as_vector(b, a.num_rows)
+        x = scipy.linalg.lu_solve(lu, b)
+        rel = float(np.linalg.norm(b - spmv(a, x))) / _scale(b)
+        stop = "tolerance_met" if np.isfinite(rel) else "breakdown"
+        return x, InnerSolveReport(1, rel, stop, [rel])
+
+    return solve_factored
+
+
 def direct_solve(
     a: SparseMatrix, b, x0, spec: InnerSolverSpec
 ) -> tuple[np.ndarray, InnerSolveReport]:
-    """Exact dense solve; counts as one iteration."""
-    b = as_vector(b, a.num_rows)
-    x = dense_solve(a.to_dense(), b)
-    rel = float(np.linalg.norm(b - spmv(a, x))) / _scale(b)
-    return x, InnerSolveReport(1, rel, "tolerance_met", [rel])
+    """Exact dense solve of the whole system as block 0; counts as one iteration."""
+    return factor_direct(a, 0)(b)
 
 
 _DISPATCH = {

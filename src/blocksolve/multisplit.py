@@ -29,12 +29,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
-from .inner_solvers import InnerSolveReport, InnerSolverSpec, solve as inner_solve
-from .linalg import DENSE_ORACLE_CAP, SparseMatrix, residual_norms, spmv
+from .inner_solvers import InnerSolverSpec, factor_direct, solve as inner_solve
+from .linalg import SparseMatrix, residual_norms, spmv
 from .problems import BlockDecomposition, LinearProblem, block_system, decompose
 
 __all__ = [
@@ -60,6 +59,9 @@ TRACE_HEADER = (
     "outer_iteration,time,estimated_residual,true_residual,"
     "inner_iterations,max_halo_staleness"
 )
+
+RESIDUAL_MODES = ("paper", "true")
+EXECUTIONS = ("replay", "threads")
 
 
 @dataclass
@@ -87,11 +89,11 @@ class OuterConfig:
             raise ConfigurationError("tol: must be positive")
         if self.max_outer < 1:
             raise ConfigurationError("max_outer: must be at least 1")
-        if self.residual_check_mode not in ("paper", "true"):
+        if self.residual_check_mode not in RESIDUAL_MODES:
             raise ConfigurationError(
                 f"residual_mode: unknown mode {self.residual_check_mode!r}"
             )
-        if self.execution not in ("replay", "threads"):
+        if self.execution not in EXECUTIONS:
             raise ConfigurationError(f"exec: unknown execution {self.execution!r}")
         if self.execution != "replay" and (
             self.residual_check_mode == "true" or self.capture_iterates
@@ -449,32 +451,11 @@ class _WorkerContext:
         self.gen = _block_worker(self)
 
 
-def _check_dense_factor_sizes(decomp: BlockDecomposition) -> None:
-    """Refuse dense LU factors of blocks above the dense oracle's cap.
-
-    Runs before any block matrix is densified: a single 32^3 block would
-    otherwise ask for a 32768^2 dense matrix (about 8.6 GB).
-    """
-    for blk, ext in enumerate(decomp.extended_indices):
-        if ext.shape[0] > DENSE_ORACLE_CAP:
-            raise ConfigurationError(
-                f"inner: the direct solve of block {blk} needs a dense factor of "
-                f"{ext.shape[0]} rows, above the cap of {DENSE_ORACLE_CAP}"
-            )
-
-
 def _make_inner_solver(ws: BlockWorkspace, spec: InnerSolverSpec):
-    """Bind the inner spec to the block system; direct solves cache an LU."""
+    """Bind the inner spec to the block system; direct solves factor once."""
     if spec.kind == "direct":
-        lu = scipy.linalg.lu_factor(ws.a_ii.to_dense())
-
-        def direct(rhs: np.ndarray, x0: np.ndarray):
-            x = scipy.linalg.lu_solve(lu, rhs)
-            scale = float(np.linalg.norm(rhs)) or 1.0
-            rel = float(np.linalg.norm(rhs - spmv(ws.a_ii, x))) / scale
-            return x, InnerSolveReport(1, rel, "tolerance_met", [rel])
-
-        return direct
+        solve_factored = factor_direct(ws.a_ii, ws.block_id)
+        return lambda rhs, x0: solve_factored(rhs)
     if spec.kind == "gmres" and spec.restart is None:
         # inner stage runs one cycle of the configured length
         spec = InnerSolverSpec(
@@ -672,7 +653,7 @@ def _run_threads(contexts, fabric):
                 except StopIteration:
                     return
                 if signal is None:
-                    fabric.wait_for_change(version)
+                    fabric.wait_for_change(ctx.workspace.block_id, version)
         except BaseException as exc:  # propagated after join
             with errors_lock:
                 errors.append(exc)
@@ -700,8 +681,6 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
     ``converged=False``, not an exception.
     """
     decomp = decompose(problem.grid, config.block_grid, config.overlap)
-    if config.inner.kind == "direct":
-        _check_dense_factor_sizes(decomp)
     workspaces = build_workspaces(problem, decomp)
     fabric = create_fabric(
         num_workers=decomp.num_blocks,
@@ -758,11 +737,11 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     Operates on the stacked per-block extended vectors. With no overlap this
     is precisely M^-1 N for M the block diagonal of A; with overlap it is
     the implemented multisplitting operator whose spectral radius governs
-    convergence. Block inverses are applied through cached dense LU factors.
+    convergence. Block inverses are applied through the direct inner solve,
+    factored once per block; a singular block raises SolverBreakdownError.
     """
-    _check_dense_factor_sizes(decomp)
     workspaces = build_workspaces(problem, decomp)
-    lus = [scipy.linalg.lu_factor(ws.a_ii.to_dense()) for ws in workspaces]
+    solves = [factor_direct(ws.a_ii, ws.block_id) for ws in workspaces]
     offsets = np.concatenate(([0], np.cumsum([ws.n_local for ws in workspaces])))
     dim = int(offsets[-1])
 
@@ -779,7 +758,10 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
                 rhs = -spmv(ws.coupling, mean[: ws.halo_cols.shape[0]])
             else:
                 rhs = np.zeros(ws.n_local)
-            out[offsets[i] : offsets[i + 1]] = scipy.linalg.lu_solve(lus[i], rhs)
+            x, report = solves[i](rhs)
+            if report.stop_reason == "breakdown":
+                raise SolverBreakdownError(i, 0, "direct reported breakdown")
+            out[offsets[i] : offsets[i + 1]] = x
         return out
 
     return apply, dim

@@ -1,6 +1,7 @@
 import pytest
 
 from blocksolve.cli import (
+    CONFIG_KEYS,
     ExperimentConfig,
     compare,
     format_compare,
@@ -64,16 +65,23 @@ class TestParsing:
             ExperimentConfig.from_mapping({"nx": "four"})
         with pytest.raises(ConfigurationError, match="mode"):
             ExperimentConfig.from_mapping({"mode": "magic"})
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig.from_mapping({"seed": "-3"})
 
     def test_echo_round_trip(self):
-        config = ExperimentConfig.from_mapping(
-            {
-                "nx": "6", "gx": "2", "overlap": "1", "inner": "cg",
-                "inner_its": "7", "mode": "async", "delay": "uniform:0:3",
-                "seed": "9", "tol": "2.5e-7", "boundary": "faces:x_lo=1,z_hi=0.25",
-                "restart": "12",
-            }
-        )
+        mapping = {
+            "nx": "6", "ny": "5", "nz": "7", "gx": "2", "gy": "3", "gz": "2",
+            "overlap": "1", "inner": "cg", "inner_its": "7", "inner_tol": "1e-3",
+            "mode": "async", "R": "4", "delay": "uniform:0:3", "seed": "9",
+            "tol": "2.5e-7", "max_outer": "77", "residual_mode": "true",
+            "true_res_every": "3", "exec": "threads", "out": "other.csv",
+            "boundary": "faces:x_lo=1,z_hi=0.25", "restart": "12",
+        }
+        config = ExperimentConfig.from_mapping(mapping)
+        default = ExperimentConfig.from_mapping({})
+        assert mapping.keys() == CONFIG_KEYS.keys()
+        for spec in CONFIG_KEYS.values():
+            assert getattr(config, spec.field) != getattr(default, spec.field), spec.field
         lines = dict(
             line.split("=", 1) for line in config.echo().splitlines() if line
         )
@@ -185,6 +193,39 @@ class TestSweep:
         results = dict(sweep(config, "mode", "sync,async"))
         assert results["sync"].converged and results["async"].converged
         assert results["async"].outer_iterations >= results["sync"].outer_iterations
+
+    def test_inner_max_its_axis(self, tmp_path):
+        config = ExperimentConfig.from_mapping(
+            {
+                "nx": "4", "ny": "4", "nz": "4", "gx": "2", "tol": "1e-6",
+                "out": str(tmp_path / "i.csv"),
+            }
+        )
+        results = dict(sweep(config, "inner_max_its", "2,8"))
+        assert list(results) == ["2", "8"]
+        assert (tmp_path / "i_inner_max_its_2.csv").exists()
+        assert (tmp_path / "i_inner_max_its_8.csv").exists()
+        two = results["2"]
+        # two blocks, at most two GMRES steps each per outer iteration
+        assert two.converged and two.total_inner_iterations <= 4 * two.outer_iterations
+        assert results["8"].converged
+        assert results["8"].outer_iterations < two.outer_iterations
+
+    @pytest.mark.parametrize(
+        "axis,values,message",
+        [
+            ("mode", "sync,magic", "values: unknown mode 'magic'"),
+            ("block_grid", "1,1,1;2,1", "values: block grid '2,1' is not gx,gy,gz"),
+            ("overlap", "0,one", "values: invalid integer 'one'"),
+        ],
+    )
+    def test_bad_value_fails_before_any_run(self, tmp_path, axis, values, message):
+        config = ExperimentConfig.from_mapping(
+            {"nx": "4", "ny": "4", "nz": "4", "out": str(tmp_path / "v.csv")}
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            sweep(config, axis, values)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_axis(self, tmp_path):
         config = ExperimentConfig.from_mapping({"out": str(tmp_path / "x.csv")})

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -341,6 +343,41 @@ class TestDeterminism:
             return async_pair_loop(fabric, 200)
 
         assert trace() == trace()
+
+
+class TestLiveness:
+    def test_threads_true_deadlock_raises_promptly(self):
+        # worker 0 waits for a halo payload and worker 1 for a reduction
+        # contribution: each waits on a rendezvous its peer never joins
+        fabric = pair_fabric("sync")
+        ops = {
+            0: fabric.halo_exchange_sync(0, {1: np.zeros(1)}, 0),
+            1: fabric.reduce_sync(1, 1.0, 0),
+        }
+        errors = []
+
+        def drive(wid):
+            try:
+                while True:
+                    version = fabric.version
+                    if next(ops[wid], "done") == "done":
+                        return
+                    fabric.wait_for_change(wid, version)
+            except ProtocolError as exc:
+                errors.append(exc)
+            finally:
+                fabric.deregister(wid)
+
+        threads = [threading.Thread(target=drive, args=(w,), daemon=True) for w in (0, 1)]
+        start = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert time.perf_counter() - start < 5
+        assert "every live worker [0, 1] is waiting" in str(errors[0])
+        assert len(errors) == 2  # the peer then fails on the departed worker
 
 
 class TestDelayModel:

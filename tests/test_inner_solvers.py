@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocksolve.errors import ConfigurationError
 from blocksolve.inner_solvers import (
     InnerSolverSpec,
     cg_solve,
@@ -227,3 +228,14 @@ class TestCommonBehavior:
         )
         assert report.iterations_used == 1
         assert np.abs(x - x_true).max() <= 1e-12
+
+    def test_direct_refuses_matrix_over_dense_cap(self, monkeypatch):
+        # the 21x21x19 system has 8379 rows, over the 8192-row dense cap
+        problem = build_laplace_3d(Grid3D(21, 21, 19))
+
+        def no_densify(matrix):
+            raise AssertionError("the matrix was densified before the size check")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", no_densify)
+        with pytest.raises(ConfigurationError, match="8379 rows"):
+            solve(problem.matrix, problem.rhs, np.zeros(8379), InnerSolverSpec("direct", 1))

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -417,6 +419,66 @@ class TestOuterSolve:
             with pytest.raises(SolverBreakdownError, match="block 1") as err:
                 outer_solve(problem, config)
             assert err.value.block_id == 1
+
+    def test_singular_direct_block_surfaces_its_breakdown(self):
+        # zeroing A's last row makes block 1's factor singular; its first
+        # solve must report the breakdown instead of handing on NaNs
+        problem = build_laplace_3d(Grid3D(4, 1, 1, DirichletBoundary({"x_lo": 1.0})))
+        dense = problem.matrix.to_dense()
+        dense[-1] = 0.0
+        singular = LinearProblem(SparseMatrix.from_dense(dense), problem.rhs, problem.grid)
+        for execution in ("replay", "threads"):
+            config = OuterConfig(
+                block_grid=(2, 1, 1),
+                inner=InnerSolverSpec("direct", 1),
+                execution=execution,
+            )
+            with pytest.raises(SolverBreakdownError, match="block 1") as err:
+                outer_solve(singular, config)
+            assert (err.value.block_id, err.value.outer_iteration) == (1, 0)
+        apply_map, dim = iteration_operator(singular, decompose(singular.grid, (2, 1, 1)))
+        with pytest.raises(SolverBreakdownError) as err:
+            apply_map(np.ones(dim))
+        assert err.value.block_id == 1
+
+    def test_threads_slow_block_is_not_a_deadlock(self, monkeypatch):
+        # block 0 waits at the sync rendezvous while block 1 is still in its
+        # first inner solve; no fabric change for that long is not a deadlock
+        original = multisplit.inner_solve
+        slept = []
+
+        def slow_block_1(a, rhs, x0, spec):
+            if a.num_rows == 2 and not slept:
+                slept.append(True)
+                time.sleep(0.2)
+            return original(a, rhs, x0, spec)
+
+        monkeypatch.setattr(multisplit, "inner_solve", slow_block_1)
+        problem = build_laplace_3d(Grid3D(5, 1, 1, DirichletBoundary({"x_lo": 1.0})))
+        config = OuterConfig(
+            block_grid=(2, 1, 1), inner=InnerSolverSpec("gmres", 2), execution="threads"
+        )
+        result = outer_solve(problem, config)
+        assert slept and result.converged
+
+    def test_threads_liveness_under_fast_switching(self):
+        # eight workers on few cores, switching threads every 10 microseconds:
+        # a worker notified of a change but not yet awake when its last peer
+        # starts waiting must not make the fabric report a deadlock
+        problem = make_problem(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for mode in ("sync", "async"):
+                config = OuterConfig(
+                    block_grid=(2, 2, 2),
+                    inner=InnerSolverSpec("gmres", 3),
+                    mode=mode,
+                    execution="threads",
+                )
+                assert outer_solve(problem, config).converged
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_direct_refuses_block_over_dense_cap(self, monkeypatch):
         # one 21x21x19 block has 8379 rows, over the 8192-row dense cap
