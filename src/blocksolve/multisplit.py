@@ -1,14 +1,14 @@
 """Outer block-Jacobi driver of the two-stage method.
 
-One worker per block. Each outer iteration a worker: (1) assembles its local
-right-hand side from the latest halo values, (2) runs the inner solver over
-its extended region warm-started from the current local solution, (3) swaps
-halo payloads with its neighbors (synchronously or via the non-blocking
-R-buffer protocol; overlap contributions ride in the same payloads), (4)
-merges overlapping values with equal weights over the covering blocks, (5)
-computes its local relative residual on its owned rows, and (6) folds it
-into the global estimate: the square root of the sum of squared block local
-relative residues.
+Each outer iteration a block: (1) assembles its local right-hand side from
+the latest halo values, (2) runs the inner solver over its extended region
+warm-started from the current local solution, (3) swaps halo payloads with
+its neighbors (synchronously or via the non-blocking R-buffer protocol;
+overlap contributions ride in the same payloads), (4) merges overlapping
+values with equal weights over the covering blocks, (5) computes its local
+relative residual on its owned rows, and (6) folds it into the global
+estimate: the square root of the sum of squared block local relative
+residues.
 
 Synchronous runs stop as soon as that combined estimate drops below the
 target. Asynchronous estimates can be stale, so a worker whose estimate
@@ -16,24 +16,32 @@ crosses the target first requests a confirmation round: one synchronous
 reduction of the current local residues; the run stops only if the
 confirmed value is below the target.
 
-In replay execution the workers advance in deterministic round-robin and
-trace timestamps are iteration counts; in threaded execution the workers
-free-run against wall-clock time.
+Synchronous replay runs each outer iteration as one stacked iteration over
+all blocks: every block merges a point to the same mean over its covering
+blocks, and every owner value is the current iterate, so one global mean
+feeds every block's halo and overlap, and the block-local residues are
+segment norms of one global residual. Asynchronous replay runs one generator
+worker per block in deterministic round-robin. In both, trace timestamps are
+iteration counts. Threaded execution runs one generator worker per block on
+its own thread against wall-clock time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolverSpec, factor_direct, solve as inner_solve
-from .linalg import SparseMatrix, residual_norms, spmv
+from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
 from .problems import BlockDecomposition, LinearProblem, block_system, decompose
 
 __all__ = [
@@ -103,6 +111,9 @@ class OuterConfig:
             )
         if self.true_residual_interval < 1:
             raise ConfigurationError("true_res_every: must be at least 1")
+        # checked here because synchronous replay builds no fabric
+        if self.buffer_slots < 1:
+            raise ConfigurationError("R: buffer pool needs at least one slot")
 
 
 @dataclass
@@ -154,6 +165,16 @@ class BlockWorkspace:
     @property
     def n_local(self) -> int:
         return int(self.ext.shape[0])
+
+    # owned rows only, for the local residual; built on first use, since
+    # synchronous replay never evaluates a residual per block
+    @cached_property
+    def a_owned(self) -> SparseMatrix:
+        return SparseMatrix(self.a_ii.csr[self.owned_local])
+
+    @cached_property
+    def coupling_owned(self) -> SparseMatrix:
+        return SparseMatrix(self.coupling.csr[self.owned_local])
 
     def initial_state(self) -> BlockState:
         return BlockState(
@@ -273,18 +294,6 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
     return rhs
 
 
-def _merge(
-    ws: BlockWorkspace, own_shared: np.ndarray, payloads: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(merged values, equal-weight mean per tracked point).
-
-    ``bincount`` sums each slot's values in sequence order, so every point
-    adds the block's own value first and then its neighbors' in order.
-    """
-    values = np.concatenate([own_shared, *payloads])
-    return values, np.bincount(ws.merge_slots, values, ws.cover.shape[0]) / ws.cover
-
-
 def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     """Merge cached neighbor contributions into halo and overlap values.
 
@@ -293,10 +302,13 @@ def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     inner-solve values participate at overlap points. Owned points are never
     modified. The owner-canonical values (each point as reported by its
     owning block) are refreshed alongside for residual evaluation.
+    ``bincount`` sums each slot's values in sequence order, so every point
+    adds the block's own value first and then its neighbors' in order.
     """
-    values, mean = _merge(
-        ws, state.own_shared, [state.payload_cache[nbr] for nbr in ws.neighbors]
+    values = np.concatenate(
+        [state.own_shared, *(state.payload_cache[nbr] for nbr in ws.neighbors)]
     )
+    mean = np.bincount(ws.merge_slots, values, ws.cover.shape[0]) / ws.cover
     n_halo = ws.halo_cols.shape[0]
     state.halo_values = mean[:n_halo]
     state.x_local[ws.shared_local] = mean[n_halo:]
@@ -319,16 +331,15 @@ def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
         x_view[ws.shared_local] = state.owner_values[n_halo:]
     else:
         x_view = state.x_local
-    r = ws.b_ext - spmv(ws.a_ii, x_view)
+    r = ws.b_ext[ws.owned_local] - spmv(ws.a_owned, x_view)
     if n_halo:
-        r -= spmv(ws.coupling, state.owner_values[:n_halo])
-    num = float(np.linalg.norm(r[ws.owned_local]))
-    den = ws.b_owned_norm
-    if den == 0.0:
-        den = ws.b_global_norm
-    if den == 0.0:
-        den = 1.0
-    return num / den
+        r -= spmv(ws.coupling_owned, state.owner_values[:n_halo])
+    return float(np.linalg.norm(r)) / _residual_scale(ws)
+
+
+def _residual_scale(ws: BlockWorkspace) -> float:
+    """The owned part of ||b||, else the global ||b||, else 1."""
+    return ws.b_owned_norm or ws.b_global_norm or 1.0
 
 
 def combined_residual(local_residuals) -> float:
@@ -574,7 +585,8 @@ def _gather_solution(
 
 
 def _run_replay(problem, workspaces, contexts, fabric, config):
-    """Deterministic round-robin scheduler with true-residual sampling.
+    """Deterministic round-robin scheduler with true-residual sampling,
+    for asynchronous replay.
 
     Workers can be up to one iteration apart mid-pass, so iterates are
     gathered incrementally: each worker's owned values are copied the moment
@@ -673,15 +685,137 @@ def _run_threads(contexts, fabric):
         raise errors[0]
 
 
-def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
-    """Run the two-stage solve and gather the owned values into a solution.
+@dataclass
+class _StackedBlocks:
+    """Every block's extended vector stacked in block order.
 
-    Raises SolverBreakdownError if an inner solver breaks down (with the
-    block id and iteration); max_outer exhaustion is reported through
-    ``converged=False``, not an exception.
+    A synchronous merge gives each point the equal-weight mean over all the
+    blocks covering it, whichever block tracks it, so ``merge`` computes one
+    mean per global point and ``coupling`` (every block's coupling rows,
+    placed at their global columns) applies it to all blocks at once.
     """
-    decomp = decompose(problem.grid, config.block_grid, config.overlap)
-    workspaces = build_workspaces(problem, decomp)
+
+    parts: list[slice]  # each block's range of the stacked vector
+    ext: np.ndarray  # global index of each stacked entry
+    cover: np.ndarray  # covering-block count per global point
+    coupling: SparseMatrix  # stacked rows x global columns
+    b_ext: np.ndarray
+    shared: np.ndarray  # stacked positions of the non-owned entries
+
+    @classmethod
+    def build(
+        cls, workspaces: list[BlockWorkspace], decomp: BlockDecomposition
+    ) -> "_StackedBlocks":
+        n = decomp.cover_counts.shape[0]
+        offsets = np.cumsum([0] + [ws.n_local for ws in workspaces])
+        coupling = scipy.sparse.vstack(
+            [
+                scipy.sparse.csr_array(
+                    (
+                        ws.coupling.values,
+                        ws.halo_cols[ws.coupling.col_indices],
+                        ws.coupling.row_offsets,
+                    ),
+                    shape=(ws.n_local, n),
+                )
+                for ws in workspaces
+            ],
+            format="csr",
+        )
+        return cls(
+            parts=[slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])],
+            ext=np.concatenate([ws.ext for ws in workspaces]),
+            cover=decomp.cover_counts,
+            coupling=SparseMatrix(coupling),
+            b_ext=np.concatenate([ws.b_ext for ws in workspaces]),
+            shared=np.concatenate(
+                [lo + ws.shared_local for lo, ws in zip(offsets, workspaces)]
+            ),
+        )
+
+    def merge(self, z: np.ndarray) -> np.ndarray:
+        """Equal-weight mean per global point; blocks add in block order."""
+        return np.bincount(self.ext, z, self.cover.shape[0]) / self.cover
+
+    def solve(self, solvers, rhs: np.ndarray, z: np.ndarray, k: int, kind: str):
+        """Every block's inner solve, in block order, warm-started from z.
+
+        Returns (stacked solution, inner iterations summed over blocks); the
+        first block to break down raises its SolverBreakdownError.
+        """
+        out = np.empty(rhs.shape[0])
+        inner_iterations = 0
+        for blk, (part, solver) in enumerate(zip(self.parts, solvers)):
+            x, report = solver(rhs[part], z[part])
+            if report.stop_reason == "breakdown":
+                raise SolverBreakdownError(blk, k, f"{kind} reported breakdown")
+            out[part] = x
+            inner_iterations += report.iterations_used
+        return out, inner_iterations
+
+
+def _run_sync_replay(problem, decomp, workspaces, config):
+    """Synchronous replay as one stacked iteration per outer iteration.
+
+    Each iteration assembles every block's right-hand side from the global
+    mean, runs the inner solves, merges, and overwrites the shared points.
+    Every owner value is then current, so block b's local residue is the
+    norm of the global residual of the gathered iterate over b's owned rows;
+    the squared residues are summed in block order, as ``reduce_sync`` does.
+    The same residual gives the true-residual samples.
+
+    Returns what ``_run_workers`` returns; the synchronous fabric ops record
+    no events, so the event list is empty.
+    """
+    stacked = _StackedBlocks.build(workspaces, decomp)
+    solvers = [_make_inner_solver(ws, config.inner) for ws in workspaces]
+    b = problem.rhs
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        raise ZeroRhsError("relative residual undefined for a zero right-hand side")
+    owner = np.empty(b.shape[0], dtype=np.intp)
+    gather = np.empty(b.shape[0], dtype=np.intp)
+    for blk, (ws, part) in enumerate(zip(workspaces, stacked.parts)):
+        owner[ws.owned_global] = blk
+        gather[ws.owned_global] = part.start + ws.owned_local
+    scale = np.array([_residual_scale(ws) for ws in workspaces])
+    shared_points = stacked.ext[stacked.shared]
+    true_mode = config.residual_check_mode == "true"
+
+    z = np.zeros(stacked.ext.shape[0])
+    mean = np.zeros(b.shape[0])
+    records: list[_IterationRecord] = []
+    samples: dict[int, float] = {}
+    snapshots: list[tuple[int, np.ndarray]] = []
+    for k in itertools.count():
+        rhs = stacked.b_ext - spmv(stacked.coupling, mean)
+        z, inner_iterations = stacked.solve(solvers, rhs, z, k, config.inner.kind)
+        mean = stacked.merge(z)
+        z[stacked.shared] = mean[shared_points]
+        x = z[gather]
+        r = b - spmv(problem.matrix, x)
+        residues = np.sqrt(np.bincount(owner, r * r, len(workspaces))) / scale
+        estimate = math.sqrt(sum((residues**2).tolist()))
+        records.append(_IterationRecord(k, float(k), estimate, inner_iterations, 0))
+        if true_mode or k % config.true_residual_interval == 0:
+            samples[k] = float(np.linalg.norm(r)) / b_norm
+        if config.capture_iterates:
+            snapshots.append((k, x))
+        if check_termination(estimate, config.tol, k + 1, config.max_outer, "sync") == "stop":
+            converged = estimate < config.tol
+            break
+        if true_mode and samples[k] < config.tol:
+            converged = True
+            break
+    return x, records, converged, samples, snapshots, []
+
+
+def _run_workers(problem, decomp, workspaces, config):
+    """Asynchronous replay and threaded execution: one generator per block.
+
+    Returns (solution, records, converged, samples, snapshots, events) with
+    one record per outer iteration, combined over the blocks that ran it.
+    """
     fabric = create_fabric(
         num_workers=decomp.num_blocks,
         mode=config.mode,
@@ -691,77 +825,95 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
         record_events=config.record_comm_events,
     )
     contexts = [_WorkerContext(ws, fabric, config) for ws in workspaces]
-
     if config.execution == "replay":
         samples, snapshots = _run_replay(problem, workspaces, contexts, fabric, config)
     else:
         _run_threads(contexts, fabric)
         samples, snapshots = {}, []
 
-    solution = _gather_solution(problem, workspaces, contexts)
-    final_true = true_relative_residual(problem, solution)
-    outer_iterations = max(len(ctx.records) for ctx in contexts)
-    if outer_iterations and (outer_iterations - 1) not in samples:
-        samples[outer_iterations - 1] = final_true
-
-    rows = []
-    for k in range(outer_iterations):
+    records = []
+    for k in range(max(len(ctx.records) for ctx in contexts)):
         at_k = [ctx.records[k] for ctx in contexts if k < len(ctx.records)]
-        rows.append(
-            TraceRow(
-                outer_iteration=k,
-                time=max(rec.time for rec in at_k),
-                estimated_residual=contexts[0].records[k].estimate
-                if k < len(contexts[0].records)
-                else at_k[0].estimate,
-                true_residual=samples.get(k),
-                inner_iterations=sum(rec.inner_iterations for rec in at_k),
-                max_halo_staleness=max(rec.max_staleness for rec in at_k),
+        first = contexts[0].records[k] if k < len(contexts[0].records) else at_k[0]
+        records.append(
+            _IterationRecord(
+                k,
+                max(rec.time for rec in at_k),
+                first.estimate,
+                sum(rec.inner_iterations for rec in at_k),
+                max(rec.max_staleness for rec in at_k),
             )
         )
+    return (
+        _gather_solution(problem, workspaces, contexts),
+        records,
+        all(ctx.converged for ctx in contexts),
+        samples,
+        snapshots,
+        list(fabric.events),
+    )
 
+
+def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
+    """Run the two-stage solve and gather the owned values into a solution.
+
+    Raises SolverBreakdownError if an inner solver breaks down (with the
+    block id and iteration); max_outer exhaustion is reported through
+    ``converged=False``, not an exception.
+    """
+    decomp = decompose(problem.grid, config.block_grid, config.overlap)
+    workspaces = build_workspaces(problem, decomp)
+    if config.mode == "sync" and config.execution == "replay":
+        run = _run_sync_replay
+    else:
+        run = _run_workers
+    solution, records, converged, samples, snapshots, events = run(
+        problem, decomp, workspaces, config
+    )
+
+    final_true = true_relative_residual(problem, solution)
+    outer_iterations = len(records)
+    if outer_iterations and (outer_iterations - 1) not in samples:
+        samples[outer_iterations - 1] = final_true
+    rows = [
+        TraceRow(
+            outer_iteration=rec.k,
+            time=rec.time,
+            estimated_residual=rec.estimate,
+            true_residual=samples.get(rec.k),
+            inner_iterations=rec.inner_iterations,
+            max_halo_staleness=rec.max_staleness,
+        )
+        for rec in records
+    ]
     return SolveResult(
         solution=solution,
         trace=ResidualTrace(rows),
-        converged=all(ctx.converged for ctx in contexts),
+        converged=converged,
         outer_iterations=outer_iterations,
         final_true_residual=final_true,
         snapshots=snapshots,
-        comm_events=list(fabric.events),
+        comm_events=events,
     )
 
 
 def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     """The exact-inner-solve outer iteration as a linear map (apply, dim).
 
-    Operates on the stacked per-block extended vectors. With no overlap this
-    is precisely M^-1 N for M the block diagonal of A; with overlap it is
-    the implemented multisplitting operator whose spectral radius governs
-    convergence. Block inverses are applied through the direct inner solve,
-    factored once per block; a singular block raises SolverBreakdownError.
+    Operates on the stacked per-block extended vectors: the synchronous
+    stacked iteration with b = 0 and direct inner solves. With no overlap
+    this is precisely M^-1 N for M the block diagonal of A; with overlap it
+    is the implemented multisplitting operator whose spectral radius governs
+    convergence. Each block is factored once; a singular block raises
+    SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
-    solves = [factor_direct(ws.a_ii, ws.block_id) for ws in workspaces]
-    offsets = np.concatenate(([0], np.cumsum([ws.n_local for ws in workspaces])))
-    dim = int(offsets[-1])
+    stacked = _StackedBlocks.build(workspaces, decomp)
+    direct = InnerSolverSpec("direct", 1)
+    solvers = [_make_inner_solver(ws, direct) for ws in workspaces]
 
     def apply(z: np.ndarray) -> np.ndarray:
-        parts = [z[offsets[i] : offsets[i + 1]] for i in range(len(workspaces))]
-        out = np.empty_like(z)
-        for i, ws in enumerate(workspaces):
-            if ws.halo_cols.size:
-                _, mean = _merge(
-                    ws,
-                    parts[i][ws.shared_local],
-                    [parts[nbr][workspaces[nbr].send_idx[i]] for nbr in ws.neighbors],
-                )
-                rhs = -spmv(ws.coupling, mean[: ws.halo_cols.shape[0]])
-            else:
-                rhs = np.zeros(ws.n_local)
-            x, report = solves[i](rhs)
-            if report.stop_reason == "breakdown":
-                raise SolverBreakdownError(i, 0, "direct reported breakdown")
-            out[offsets[i] : offsets[i + 1]] = x
-        return out
+        rhs = -spmv(stacked.coupling, stacked.merge(z))
+        return stacked.solve(solvers, rhs, z, 0, "direct")[0]
 
-    return apply, dim
+    return apply, int(stacked.ext.shape[0])

@@ -23,33 +23,41 @@ def load_tracer():
     return module.Tracer
 
 
-# direct solves factor and solve through scipy.linalg inside multisplit,
-# so they are seen at lu_factor and lu_solve instead of inner_solve
-@pytest.mark.parametrize(
-    "kind,inner_spans",
-    [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
-)
-def test_traced_solve_records_every_layer(kind, inner_spans):
+def traced_calls(kind, mode):
+    """Span counts of one traced replay solve on 4^3 with 2x2x2 blocks."""
     tracer = load_tracer()()
     config = multisplit.OuterConfig(
         block_grid=(2, 2, 2),
         overlap=1,
         inner=inner_solvers.InnerSolverSpec(kind, 10),
+        mode=mode,
         tol=1e-6,
     )
     with tracer.installed():
         grid = problems.Grid3D(4, 4, 4, problems.DirichletBoundary({"x_lo": 1.0}))
         result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
     assert result.converged
-    _, _, calls = tracer.totals()
-    expected = {
-        "spmv",
-        "block_system",
-        "build_laplace_3d",
-        "build_workspaces",
-        "merge_overlap",
-        "local_residual",
-        "assemble_rhs",
-    } | inner_spans
+    return tracer.totals()[2]
+
+
+# direct solves factor and solve through scipy.linalg in
+# inner_solvers.factor_direct, so they are seen at lu_factor and lu_solve
+# instead of inner_solve
+@pytest.mark.parametrize(
+    "kind,inner_spans",
+    [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
+)
+def test_traced_solve_records_every_layer(kind, inner_spans):
+    calls = traced_calls(kind, "sync")
+    expected = {"spmv", "block_system", "build_laplace_3d", "build_workspaces"} | inner_spans
+    missing = {name for name in expected if calls[name] == 0}
+    assert not missing, f"no spans recorded for {sorted(missing)}"
+
+
+def test_traced_async_solve_records_the_per_block_layers():
+    # synchronous replay runs as one stacked iteration; the per-block rhs,
+    # merge and local residual run only in the per-block workers
+    calls = traced_calls("gmres", "async")
+    expected = {"merge_overlap", "local_residual", "assemble_rhs", "inner_solve", "spmv"}
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"

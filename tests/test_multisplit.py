@@ -499,6 +499,53 @@ class TestOuterSolve:
             OuterConfig(capture_iterates=True, execution="threads")
 
 
+class TestFusedSyncReplay:
+    """Synchronous replay runs as one stacked iteration; sync threads runs
+    the per-block workers through the fabric. Both compute the same iterates."""
+
+    @pytest.mark.parametrize("overlap", [0, 1])
+    @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres", "direct"])
+    def test_matches_sync_threads(self, kind, overlap):
+        problem = make_problem(6)
+        replay, threads = (
+            outer_solve(
+                problem,
+                OuterConfig(
+                    block_grid=(2, 2, 1),
+                    overlap=overlap,
+                    inner=InnerSolverSpec(kind, 5),
+                    tol=1e-6,
+                    max_outer=2000,
+                    execution=execution,
+                ),
+            )
+            for execution in ("replay", "threads")
+        )
+        assert replay.converged and threads.converged
+        assert replay.outer_iterations == threads.outer_iterations
+        for a, b in zip(replay.trace.rows, threads.trace.rows):
+            assert a.inner_iterations == b.inner_iterations
+            assert a.max_halo_staleness == b.max_halo_staleness == 0
+            assert a.estimated_residual == pytest.approx(b.estimated_residual, rel=1e-10)
+        assert replay.final_true_residual == pytest.approx(
+            threads.final_true_residual, rel=1e-10
+        )
+
+    def test_never_touches_the_sync_fabric(self, monkeypatch):
+        def no_fabric(*args, **kwargs):
+            raise AssertionError("synchronous replay used the fabric")
+
+        monkeypatch.setattr(multisplit.Fabric, "halo_exchange_sync", no_fabric)
+        monkeypatch.setattr(multisplit.Fabric, "reduce_sync", no_fabric)
+        config = OuterConfig(block_grid=(2, 2, 1), overlap=1, inner=InnerSolverSpec("gmres", 5))
+        result = outer_solve(make_problem(6), config)
+        assert result.converged and result.comm_events == []
+
+    def test_empty_buffer_pool_rejected_without_a_fabric(self):
+        with pytest.raises(ConfigurationError, match="R: buffer pool"):
+            OuterConfig(buffer_slots=0)
+
+
 class TestFixedPoint:
     @pytest.mark.parametrize("blocks,overlap", [((2, 1, 1), 0), ((2, 2, 2), 1)])
     def test_exact_solution_unchanged_by_iteration(self, blocks, overlap):
