@@ -1,19 +1,22 @@
 """Stationary and Krylov solvers: the baseline methods and the inner stage.
 
-All solvers are deterministic functions of their inputs and use the same
-stopping semantics: stop when the relative residual ||b - Ax|| / ||b|| does
-not exceed ``tolerance`` (absolute residual when b = 0), or after
-``max_iterations``. When driven as the inner stage of the two-stage method
-the tolerance is normally 0, which makes the iteration cap the only control,
-matching how the outer algorithm is tuned.
+``prepare`` binds a solver to one matrix once; the prepared solver carries
+no state from one call to the next. All solvers stop when the relative
+residual ||b - Ax|| / ||b|| does not exceed ``tolerance`` (absolute residual
+when b = 0), or after ``max_iterations``; a non-finite residual reports
+``breakdown``. As the inner stage of the two-stage method the tolerance is
+normally 0, so the iteration cap is the only control, matching how the
+outer algorithm is tuned.
 
-CG and GMRES stop on recurrence residual estimates; whenever an estimate
-claims convergence, the true residual is recomputed and iteration continues
-if the claim does not hold, so a ``tolerance_met`` report is always honest.
+CG and GMRES stop on recurrence residual estimates, which they report at
+the iteration cap; whenever an estimate claims convergence, the true
+residual is recomputed and iteration continues if the claim does not hold,
+so a ``tolerance_met`` report is always honest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,7 @@ __all__ = [
     "cg_solve",
     "gmres_solve",
     "factor_direct",
+    "prepare",
     "solve",
 ]
 
@@ -70,191 +74,209 @@ class InnerSolveReport:
     residual_history: list[float] = field(default_factory=list)
 
 
+Solved = tuple[np.ndarray, InnerSolveReport]
+
+
 def _scale(b: np.ndarray) -> float:
     bnorm = float(np.linalg.norm(b))
     return bnorm if bnorm > 0.0 else 1.0
 
 
-def jacobi_solve(
-    a: SparseMatrix, b, x0, spec: InnerSolverSpec
-) -> tuple[np.ndarray, InnerSolveReport]:
+def prepare(spec: InnerSolverSpec, a: SparseMatrix, block_id: int = 0):
+    """``solve(b, x0) -> (x, report)`` for block ``block_id``'s matrix ``a``.
+
+    Jacobi's diagonal split, the direct LU factor and GMRES's reused basis
+    are made here, once: one GMRES solver must not run two solves at once."""
+    if spec.kind == "jacobi":
+        return _jacobi(spec, a)
+    if spec.kind == "cg":
+        return _cg(spec, a)
+    if spec.kind == "gmres":
+        return _gmres(spec, a)
+    return factor_direct(a, block_id)
+
+
+def jacobi_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
     """Point-Jacobi sweeps: x <- D^-1 (b - (A - D) x)."""
-    b = as_vector(b, a.num_rows)
-    x = as_vector(x0, a.num_rows).copy()
-    d = a.diagonal()
-    if np.any(d == 0.0):
-        return x, InnerSolveReport(0, np.inf, "breakdown")
-    off = a.without_diagonal()
-    scale = _scale(b)
-
-    rel = float(np.linalg.norm(b - spmv(a, x))) / scale
-    if rel <= spec.tolerance:
-        return x, InnerSolveReport(0, rel, "tolerance_met")
-    history = []
-    for it in range(1, spec.max_iterations + 1):
-        x = (b - spmv(off, x)) / d
-        rel = float(np.linalg.norm(b - spmv(a, x))) / scale
-        history.append(rel)
-        if not np.isfinite(rel):
-            return x, InnerSolveReport(it, rel, "breakdown", history)
-        if rel <= spec.tolerance:
-            return x, InnerSolveReport(it, rel, "tolerance_met", history)
-    return x, InnerSolveReport(spec.max_iterations, rel, "max_iterations", history)
+    return _jacobi(spec, a)(b, x0)
 
 
-def cg_solve(
-    a: SparseMatrix, b, x0, spec: InnerSolverSpec
-) -> tuple[np.ndarray, InnerSolveReport]:
+def cg_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
     """Conjugate gradients for symmetric positive definite systems."""
-    b = as_vector(b, a.num_rows)
-    x = as_vector(x0, a.num_rows).copy()
-    scale = _scale(b)
+    return _cg(spec, a)(b, x0)
 
-    r = b - spmv(a, x)
-    rel = float(np.linalg.norm(r)) / scale
-    if rel <= spec.tolerance:
-        return x, InnerSolveReport(0, rel, "tolerance_met")
-    p = r.copy()
-    rr = float(r @ r)
-    history = []
-    it = 0
-    while it < spec.max_iterations:
-        ap = spmv(a, p)
-        pap = float(p @ ap)
-        if pap <= 0.0 or not np.isfinite(pap):
-            return x, InnerSolveReport(it, rel, "breakdown", history)
-        alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
-        it += 1
-        rr_new = float(r @ r)
-        rel = np.sqrt(rr_new) / scale
-        history.append(rel)
-        if not np.isfinite(rel):
-            return x, InnerSolveReport(it, rel, "breakdown", history)
+
+def gmres_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
+    """Restarted GMRES with CGS2 Arnoldi and Givens rotations."""
+    return _gmres(spec, a)(b, x0)
+
+
+def solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
+    """Run the solver named by ``spec.kind`` once on the whole system."""
+    return prepare(spec, a)(b, x0)
+
+
+def _jacobi(spec: InnerSolverSpec, a: SparseMatrix):
+    n = a.num_rows
+    d = a.diagonal()
+    singular = bool(np.any(d == 0.0))
+    off = a.without_diagonal()
+
+    def solve_jacobi(b, x0) -> Solved:
+        b = as_vector(b, n)
+        x = as_vector(x0, n).copy()
+        if singular:
+            return x, InnerSolveReport(0, np.inf, "breakdown")
+        scale = _scale(b)
+        rel = float(np.linalg.norm(b - spmv(a, x))) / scale
         if rel <= spec.tolerance:
-            # recurrence says converged; verify against the true residual
-            r_true = b - spmv(a, x)
-            rel_true = float(np.linalg.norm(r_true)) / scale
-            if rel_true <= spec.tolerance:
-                history[-1] = rel_true
-                return x, InnerSolveReport(it, rel_true, "tolerance_met", history)
-            r = r_true
+            return x, InnerSolveReport(0, rel, "tolerance_met")
+        history = []
+        for it in range(1, spec.max_iterations + 1):
+            x = (b - spmv(off, x)) / d
+            rel = float(np.linalg.norm(b - spmv(a, x))) / scale
+            history.append(rel)
+            if not np.isfinite(rel):
+                return x, InnerSolveReport(it, rel, "breakdown", history)
+            if rel <= spec.tolerance:
+                return x, InnerSolveReport(it, rel, "tolerance_met", history)
+        return x, InnerSolveReport(spec.max_iterations, rel, "max_iterations", history)
+
+    return solve_jacobi
+
+
+def _cg(spec: InnerSolverSpec, a: SparseMatrix):
+    n = a.num_rows
+
+    def solve_cg(b, x0) -> Solved:
+        b = as_vector(b, n)
+        x = as_vector(x0, n).copy()
+        scale = _scale(b)
+
+        r = b - spmv(a, x)
+        rel = float(np.linalg.norm(r)) / scale
+        if rel <= spec.tolerance:
+            return x, InnerSolveReport(0, rel, "tolerance_met")
+        p = r.copy()
+        rr = float(r @ r)
+        history = []
+        for it in range(1, spec.max_iterations + 1):
+            ap = spmv(a, p)
+            pap = float(p @ ap)
+            if pap <= 0.0 or not np.isfinite(pap):
+                return x, InnerSolveReport(it - 1, rel, "breakdown", history)
+            alpha = rr / pap
+            x += alpha * p
+            r -= alpha * ap
             rr_new = float(r @ r)
             rel = np.sqrt(rr_new) / scale
-            history[-1] = rel
-        beta = rr_new / rr
-        p = r + beta * p
-        rr = rr_new
-    return x, InnerSolveReport(it, rel, "max_iterations", history)
-
-
-def gmres_solve(
-    a: SparseMatrix, b, x0, spec: InnerSolverSpec
-) -> tuple[np.ndarray, InnerSolveReport]:
-    """Restarted GMRES with modified Gram-Schmidt Arnoldi and Givens rotations.
-
-    The residual norm is tracked per step from the rotated reduced system
-    without forming the iterate, and is non-increasing within a restart
-    cycle. Happy breakdown returns the then-exact solution; a restart cycle
-    with no progress reports ``breakdown`` (stagnation).
-    """
-    b = as_vector(b, a.num_rows)
-    x = as_vector(x0, a.num_rows).copy()
-    n = a.num_rows
-    restart = min(spec.restart if spec.restart is not None else DEFAULT_RESTART, n)
-    scale = _scale(b)
-    history: list[float] = []
-    total = 0
-
-    v = np.zeros((restart + 1, n))
-    h = np.zeros((restart + 1, restart))
-    cs = np.zeros(restart)
-    sn = np.zeros(restart)
-    g = np.zeros(restart + 1)
-
-    def form_solution(j: int) -> np.ndarray:
-        y = scipy.linalg.solve_triangular(
-            h[: j + 1, : j + 1], g[: j + 1], check_finite=False
-        )
-        return x + v[: j + 1].T @ y
-
-    while True:
-        r = b - spmv(a, x)
-        beta = float(np.linalg.norm(r))
-        rel = beta / scale
-        if total == 0 and rel <= spec.tolerance:
-            return x, InnerSolveReport(0, rel, "tolerance_met")
-        cycle_start = rel
-
-        h[:] = 0.0
-        g[:] = 0.0
-        g[0] = beta
-        v[0] = r / beta
-        for j in range(restart):
-            w = spmv(a, v[j])
-            for i in range(j + 1):
-                h[i, j] = float(v[i] @ w)
-                w -= h[i, j] * v[i]
-            wnorm = float(np.linalg.norm(w))
-            h[j + 1, j] = wnorm
-            happy = wnorm <= 1e-14 * max(
-                float(np.linalg.norm(h[: j + 2, j])), 1e-300
-            )
-
-            for i in range(j):
-                hij = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = hij
-            denom = float(np.hypot(h[j, j], h[j + 1, j]))
-            cs[j] = h[j, j] / denom
-            sn[j] = h[j + 1, j] / denom
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-
-            total += 1
-            rel = abs(g[j + 1]) / scale
             history.append(rel)
-
-            if happy:
-                x = form_solution(j)
-                rel = float(np.linalg.norm(b - spmv(a, x))) / scale
-                history[-1] = rel
-                return x, InnerSolveReport(total, rel, "tolerance_met", history)
-            if rel <= spec.tolerance or total >= spec.max_iterations:
-                x = form_solution(j)
-                rel_true = float(np.linalg.norm(b - spmv(a, x))) / scale
+            if not np.isfinite(rel):
+                return x, InnerSolveReport(it, rel, "breakdown", history)
+            if rel <= spec.tolerance:
+                # recurrence says converged; verify against the true residual
+                r_true = b - spmv(a, x)
+                rel_true = float(np.linalg.norm(r_true)) / scale
                 if rel_true <= spec.tolerance:
                     history[-1] = rel_true
-                    return x, InnerSolveReport(
-                        total, rel_true, "tolerance_met", history
-                    )
-                if total >= spec.max_iterations:
-                    return x, InnerSolveReport(
-                        total, rel_true, "max_iterations", history
-                    )
-                break  # optimistic estimate: restart from the formed iterate
-            if j == restart - 1:
-                x = form_solution(j)
-                break
-            v[j + 1] = w / wnorm
+                    return x, InnerSolveReport(it, rel_true, "tolerance_met", history)
+                r = r_true
+                rr_new = float(r @ r)
+                rel = np.sqrt(rr_new) / scale
+                history[-1] = rel
+            beta = rr_new / rr
+            p = r + beta * p
+            rr = rr_new
+        return x, InnerSolveReport(spec.max_iterations, rel, "max_iterations", history)
 
-        rel_true = float(np.linalg.norm(b - spmv(a, x))) / scale
-        if not np.isfinite(rel_true):
-            return x, InnerSolveReport(total, rel_true, "breakdown", history)
-        if cycle_start - rel_true < STAGNATION_RTOL * cycle_start:
-            return x, InnerSolveReport(total, rel_true, "breakdown", history)
+    return solve_cg
+
+
+def _gmres(spec: InnerSolverSpec, a: SparseMatrix):
+    """Restarted GMRES, orthogonalising by CGS2: two classical Gram-Schmidt
+    passes, each one product with the basis block, as orthogonal as modified
+    Gram-Schmidt (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math.
+    2005). The reduced system is rotated and solved in Python floats; its
+    residual does not grow within a cycle. Happy breakdown returns the exact
+    solution; a cycle without progress, or a singular reduced system, breaks down."""
+    n = a.num_rows
+    restart = min(spec.restart if spec.restart is not None else DEFAULT_RESTART, n)
+    basis = np.empty((restart + 1, n))  # each cycle writes a row before reading it
+
+    def solve_gmres(b, x0) -> Solved:
+        b = as_vector(b, n)
+        x = as_vector(x0, n).copy()
+        scale = _scale(b)
+        history: list[float] = []
+        total, happy, cycle_start = 0, False, math.inf
+        while True:
+            r = b - spmv(a, x)
+            beta = float(np.linalg.norm(r))
+            rel = beta / scale
+            if not math.isfinite(rel):
+                return x, InnerSolveReport(total, rel, "breakdown", history)
+            if rel <= spec.tolerance or happy:
+                if history:
+                    history[-1] = rel
+                return x, InnerSolveReport(total, rel, "tolerance_met", history)
+            if total >= spec.max_iterations:
+                return x, InnerSolveReport(total, rel, "max_iterations", history)
+            if cycle_start - rel < STAGNATION_RTOL * cycle_start:
+                return x, InnerSolveReport(total, rel, "breakdown", history)
+            cycle_start = rel
+
+            basis[0] = r / beta
+            g = [beta]  # the rotated right-hand side of the reduced system
+            rotations: list[tuple[float, float]] = []
+            columns: list[list[float]] = []  # the rotated, upper-triangular system
+            for j in range(restart):
+                w = spmv(a, basis[j])
+                v = basis[: j + 1]
+                h = v @ w
+                w -= h @ v
+                correction = v @ w
+                w -= correction @ v
+                h_next = float(np.linalg.norm(w))
+                col = (h + correction).tolist() + [h_next]
+                happy = h_next <= 1e-14 * max(math.hypot(*col), 1e-300)
+                for i, (c, s) in enumerate(rotations):
+                    col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+                d = math.hypot(col[j], col[j + 1])
+                if d == 0.0:
+                    return x, InnerSolveReport(total, rel, "breakdown", history)
+                c, s = col[j] / d, col[j + 1] / d
+                rotations.append((c, s))
+                columns.append(col[:j] + [d])
+                g.append(-s * g[j])
+                g[j] = c * g[j]
+                total += 1
+                rel = abs(g[j + 1]) / scale
+                history.append(rel)
+                if not math.isfinite(rel):
+                    return x, InnerSolveReport(total, rel, "breakdown", history)
+                if happy or rel <= spec.tolerance or total >= spec.max_iterations:
+                    break
+                np.divide(w, h_next, out=basis[j + 1])
+
+            y = g[: len(columns)]  # back substitution, column by column
+            for k in reversed(range(len(y))):
+                y[k] /= columns[k][k]
+                for i in range(k):
+                    y[i] -= columns[k][i] * y[k]
+            x += np.array(y) @ basis[: len(y)]
+            if total >= spec.max_iterations and not (happy or rel <= spec.tolerance):
+                return x, InnerSolveReport(total, rel, "max_iterations", history)
+
+    return solve_gmres
 
 
 def factor_direct(a: SparseMatrix, block_id: int):
     """Dense LU factor of block ``block_id``'s ``a``, computed once.
 
-    Returns ``solve(b) -> (x, report)``, an exact solve that counts as one
-    iteration. A singular factor gives a non-finite residual, which reports
-    ``breakdown``. Blocks above the dense oracle's cap are refused before
-    anything is densified.
+    Returns ``solve(b, x0) -> (x, report)``, an exact solve that ignores
+    ``x0`` and counts as one iteration. A singular factor or a non-finite ``b`` gives a non-finite
+    residual, which reports ``breakdown``. Blocks above the dense oracle's
+    cap are refused before anything is densified.
     """
     if a.num_rows > DENSE_ORACLE_CAP:
         raise ConfigurationError(
@@ -263,33 +285,11 @@ def factor_direct(a: SparseMatrix, block_id: int):
         )
     lu = scipy.linalg.lu_factor(a.to_dense())
 
-    def solve_factored(b) -> tuple[np.ndarray, InnerSolveReport]:
+    def solve_factored(b, x0=None) -> Solved:
         b = as_vector(b, a.num_rows)
-        x = scipy.linalg.lu_solve(lu, b)
+        x = scipy.linalg.lu_solve(lu, b, check_finite=False)
         rel = float(np.linalg.norm(b - spmv(a, x))) / _scale(b)
         stop = "tolerance_met" if np.isfinite(rel) else "breakdown"
         return x, InnerSolveReport(1, rel, stop, [rel])
 
     return solve_factored
-
-
-def direct_solve(
-    a: SparseMatrix, b, x0, spec: InnerSolverSpec
-) -> tuple[np.ndarray, InnerSolveReport]:
-    """Exact dense solve of the whole system as block 0; counts as one iteration."""
-    return factor_direct(a, 0)(b)
-
-
-_DISPATCH = {
-    "jacobi": jacobi_solve,
-    "cg": cg_solve,
-    "gmres": gmres_solve,
-    "direct": direct_solve,
-}
-
-
-def solve(
-    a: SparseMatrix, b, x0, spec: InnerSolverSpec
-) -> tuple[np.ndarray, InnerSolveReport]:
-    """Dispatch to the solver named by ``spec.kind``."""
-    return _DISPATCH[spec.kind](a, b, x0, spec)

@@ -32,7 +32,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,7 @@ import scipy.sparse
 
 from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
-from .inner_solvers import InnerSolverSpec, factor_direct, solve as inner_solve
+from .inner_solvers import InnerSolverSpec, prepare
 from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
 from .problems import BlockDecomposition, LinearProblem, block_system, decompose
 
@@ -451,8 +451,9 @@ class _IterationRecord:
 
 
 class _WorkerContext:
-    def __init__(self, workspace: BlockWorkspace, fabric: Fabric, config: OuterConfig):
+    def __init__(self, workspace: BlockWorkspace, solver, fabric: Fabric, config: OuterConfig):
         self.workspace = workspace
+        self.solver = solver
         self.fabric = fabric
         self.config = config
         self.state = workspace.initial_state()
@@ -462,21 +463,26 @@ class _WorkerContext:
         self.gen = _block_worker(self)
 
 
-def _make_inner_solver(ws: BlockWorkspace, spec: InnerSolverSpec):
-    """Bind the inner spec to the block system; direct solves factor once."""
-    if spec.kind == "direct":
-        solve_factored = factor_direct(ws.a_ii, ws.block_id)
-        return lambda rhs, x0: solve_factored(rhs)
+def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec) -> list:
+    """Each block's inner solver, prepared once per solve."""
     if spec.kind == "gmres" and spec.restart is None:
-        # inner stage runs one cycle of the configured length
-        spec = InnerSolverSpec(
-            spec.kind, spec.max_iterations, spec.tolerance, spec.max_iterations
-        )
+        # the inner stage runs one cycle of the configured length
+        spec = replace(spec, restart=spec.max_iterations)
+    return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
 
-    def iterative(rhs: np.ndarray, x0: np.ndarray):
-        return inner_solve(ws.a_ii, rhs, x0, spec)
 
-    return iterative
+def inner_solve(solver, rhs: np.ndarray, x0: np.ndarray):
+    """Run a block's prepared iterative solver. Tracers and tests intercept this
+    name; direct solves bypass it and are seen at ``scipy.linalg.lu_solve``."""
+    return solver(rhs, x0)
+
+
+def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
+    """One block's inner solve; a breakdown raises its SolverBreakdownError."""
+    x, report = solver(rhs, x0) if kind == "direct" else inner_solve(solver, rhs, x0)
+    if report.stop_reason == "breakdown":
+        raise SolverBreakdownError(block_id, k, f"{kind} reported breakdown")
+    return x, report
 
 
 def _block_worker(ctx: _WorkerContext):
@@ -486,7 +492,6 @@ def _block_worker(ctx: _WorkerContext):
     fabric = ctx.fabric
     cfg = ctx.config
     state = ctx.state
-    solver = _make_inner_solver(ws, cfg.inner)
     replay = cfg.execution == "replay"
     k = 0
     while True:
@@ -497,11 +502,9 @@ def _block_worker(ctx: _WorkerContext):
         fabric.begin_iteration(ws.block_id, k)
 
         rhs = assemble_block_rhs(ws, state.halo_values)
-        x_new, report = solver(rhs, state.x_local)
-        if report.stop_reason == "breakdown":
-            raise SolverBreakdownError(
-                ws.block_id, k, f"{cfg.inner.kind} reported breakdown"
-            )
+        x_new, report = _solve_block(
+            ctx.solver, cfg.inner.kind, ws.block_id, k, rhs, state.x_local
+        )
         state.x_local = x_new
         state.own_shared = x_new[ws.shared_local].copy()
 
@@ -746,10 +749,7 @@ class _StackedBlocks:
         out = np.empty(rhs.shape[0])
         inner_iterations = 0
         for blk, (part, solver) in enumerate(zip(self.parts, solvers)):
-            x, report = solver(rhs[part], z[part])
-            if report.stop_reason == "breakdown":
-                raise SolverBreakdownError(blk, k, f"{kind} reported breakdown")
-            out[part] = x
+            out[part], report = _solve_block(solver, kind, blk, k, rhs[part], z[part])
             inner_iterations += report.iterations_used
         return out, inner_iterations
 
@@ -768,7 +768,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     no events, so the event list is empty.
     """
     stacked = _StackedBlocks.build(workspaces, decomp)
-    solvers = [_make_inner_solver(ws, config.inner) for ws in workspaces]
+    solvers = _prepare_solvers(workspaces, config.inner)
     b = problem.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -824,7 +824,8 @@ def _run_workers(problem, decomp, workspaces, config):
         topology=decomp.neighbors,
         record_events=config.record_comm_events,
     )
-    contexts = [_WorkerContext(ws, fabric, config) for ws in workspaces]
+    solvers = _prepare_solvers(workspaces, config.inner)
+    contexts = [_WorkerContext(ws, s, fabric, config) for ws, s in zip(workspaces, solvers)]
     if config.execution == "replay":
         samples, snapshots = _run_replay(problem, workspaces, contexts, fabric, config)
     else:
@@ -909,8 +910,7 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp)
-    direct = InnerSolverSpec("direct", 1)
-    solvers = [_make_inner_solver(ws, direct) for ws in workspaces]
+    solvers = _prepare_solvers(workspaces, InnerSolverSpec("direct", 1))
 
     def apply(z: np.ndarray) -> np.ndarray:
         rhs = -spmv(stacked.coupling, stacked.merge(z))

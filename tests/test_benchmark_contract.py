@@ -24,7 +24,8 @@ def load_tracer():
 
 
 def traced_calls(kind, mode):
-    """Span counts of one traced replay solve on 4^3 with 2x2x2 blocks."""
+    """Span counts and outer iterations of one traced replay solve on 4^3
+    with 2x2x2 blocks."""
     tracer = load_tracer()()
     config = multisplit.OuterConfig(
         block_grid=(2, 2, 2),
@@ -37,7 +38,7 @@ def traced_calls(kind, mode):
         grid = problems.Grid3D(4, 4, 4, problems.DirichletBoundary({"x_lo": 1.0}))
         result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
     assert result.converged
-    return tracer.totals()[2]
+    return tracer.totals()[2], result.outer_iterations
 
 
 # direct solves factor and solve through scipy.linalg in
@@ -48,16 +49,20 @@ def traced_calls(kind, mode):
     [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
 )
 def test_traced_solve_records_every_layer(kind, inner_spans):
-    calls = traced_calls(kind, "sync")
+    calls, outer_iterations = traced_calls(kind, "sync")
     expected = {"spmv", "block_system", "build_laplace_3d", "build_workspaces"} | inner_spans
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"
+    # one span per block solve, each seen once: inner_solvers.calls adds the two
+    block_solves = 8 * outer_iterations
+    assert calls["inner_solve" if kind == "gmres" else "lu_solve"] == block_solves
+    assert calls["inner_solve"] + calls["lu_solve"] == block_solves
 
 
 def test_traced_async_solve_records_the_per_block_layers():
     # synchronous replay runs as one stacked iteration; the per-block rhs,
     # merge and local residual run only in the per-block workers
-    calls = traced_calls("gmres", "async")
+    calls, _ = traced_calls("gmres", "async")
     expected = {"merge_overlap", "local_residual", "assemble_rhs", "inner_solve", "spmv"}
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"

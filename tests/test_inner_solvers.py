@@ -1,12 +1,16 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+from blocksolve import inner_solvers
 from blocksolve.errors import ConfigurationError
 from blocksolve.inner_solvers import (
     InnerSolverSpec,
     cg_solve,
     gmres_solve,
     jacobi_solve,
+    prepare,
     solve,
 )
 from blocksolve.linalg import SparseMatrix, dense_solve, residual_norms
@@ -84,7 +88,8 @@ class TestJacobi:
     def test_divergence_reports_breakdown(self):
         # spectral radius of the Jacobi iteration matrix is 2: iterates blow up
         a = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
-        _, report = jacobi_solve(a, np.ones(2), np.zeros(2), InnerSolverSpec("jacobi", 5000))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _, report = jacobi_solve(a, np.ones(2), np.zeros(2), InnerSolverSpec("jacobi", 5000))
         assert report.stop_reason in ("breakdown", "max_iterations")
         assert not report.final_relative_residual <= 1.0
 
@@ -178,6 +183,28 @@ class TestGMRES:
         _, report = gmres_solve(a, b, np.zeros(n), InnerSolverSpec("gmres", 20, 1e-10, restart=5))
         assert report.stop_reason == "breakdown"
 
+    def test_singular_reduced_system_reports_breakdown(self):
+        # A v0 = 0: the first Hessenberg column is zero, so it cannot be rotated
+        a = SparseMatrix.from_dense(np.diag([0.0, 1.0]))
+        _, report = gmres_solve(a, np.array([1.0, 0.0]), np.zeros(2), InnerSolverSpec("gmres", 5))
+        assert report.stop_reason == "breakdown"
+
+    def test_cap_reports_the_estimate_without_a_residual_spmv(self, monkeypatch):
+        problem = laplace_4cubed()
+        solver = prepare(InnerSolverSpec("gmres", 5, restart=5), problem.matrix)
+        # patched after prepare: every product goes through the module-level spmv
+        original = inner_solvers.spmv
+        calls = []
+        monkeypatch.setattr(
+            inner_solvers, "spmv", lambda a, x: calls.append(1) or original(a, x)
+        )
+        x, report = solver(problem.rhs, np.zeros(64))
+        assert report.stop_reason == "max_iterations"
+        assert len(calls) == 6  # the initial residual and five Arnoldi steps
+        assert report.final_relative_residual == report.residual_history[-1]
+        true_rel = residual_norms(problem.matrix, x, problem.rhs)[1]
+        assert report.final_relative_residual == pytest.approx(true_rel, rel=1e-10)
+
     def test_restart_cap_still_converges(self):
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
@@ -192,6 +219,34 @@ class TestGMRES:
 
 
 class TestCommonBehavior:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres", "direct"])
+    def test_non_finite_rhs_reports_breakdown(self, kind, bad):
+        problem = laplace_4cubed()
+        b = problem.rhs.copy()
+        b[5] = bad
+        # inf - inf: in Jacobi's first residual and in CG's first p.Ap
+        warns = bad == np.inf and kind in ("jacobi", "cg")
+        expected = pytest.warns(RuntimeWarning, match="invalid value")
+        with expected if warns else contextlib.nullcontext():
+            _, report = solve(problem.matrix, b, np.zeros(64), InnerSolverSpec(kind, 2, restart=2))
+        assert report.stop_reason == "breakdown"
+        assert not np.isfinite(report.final_relative_residual)
+
+    @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres", "direct"])
+    def test_prepared_solver_carries_no_state(self, kind):
+        problem = laplace_4cubed()
+        rng = np.random.default_rng(11)
+        b1, x1, b2, x2 = (rng.standard_normal(64) for _ in range(4))
+        spec = InnerSolverSpec(kind, 7, restart=3)  # GMRES reuses its basis across cycles
+        solver = prepare(spec, problem.matrix)
+        solver(b1, x1)
+        solver(b2, x2)
+        x, report = solver(b1, x1)
+        x_fresh, report_fresh = prepare(spec, problem.matrix)(b1, x1)
+        assert x.tobytes() == x_fresh.tobytes()
+        assert report == report_fresh
+
     @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres"])
     def test_determinism(self, kind):
         problem = laplace_4cubed()

@@ -1,9 +1,11 @@
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocksolve import multisplit
 from blocksolve.comm import DelayModel
@@ -403,10 +405,10 @@ class TestOuterSolve:
         # waits for its payload; the secondary deadlock must not mask it
         original = multisplit.inner_solve
 
-        def breaks_on_block_1(a, rhs, x0, spec):
-            if a.num_rows == 2:
+        def breaks_on_block_1(solver, rhs, x0):
+            if rhs.shape[0] == 2:
                 return x0, InnerSolveReport(0, math.inf, "breakdown")
-            return original(a, rhs, x0, spec)
+            return original(solver, rhs, x0)
 
         monkeypatch.setattr(multisplit, "inner_solve", breaks_on_block_1)
         problem = build_laplace_3d(Grid3D(5, 1, 1, DirichletBoundary({"x_lo": 1.0})))
@@ -427,19 +429,57 @@ class TestOuterSolve:
         dense = problem.matrix.to_dense()
         dense[-1] = 0.0
         singular = LinearProblem(SparseMatrix.from_dense(dense), problem.rhs, problem.grid)
+        # each factoring of block 1 warns of its zero pivot
+        singular_factor = pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero")
         for execution in ("replay", "threads"):
             config = OuterConfig(
                 block_grid=(2, 1, 1),
                 inner=InnerSolverSpec("direct", 1),
                 execution=execution,
             )
-            with pytest.raises(SolverBreakdownError, match="block 1") as err:
+            with pytest.raises(SolverBreakdownError, match="block 1") as err, singular_factor:
                 outer_solve(singular, config)
             assert (err.value.block_id, err.value.outer_iteration) == (1, 0)
-        apply_map, dim = iteration_operator(singular, decompose(singular.grid, (2, 1, 1)))
+        with singular_factor:
+            apply_map, dim = iteration_operator(singular, decompose(singular.grid, (2, 1, 1)))
         with pytest.raises(SolverBreakdownError) as err:
             apply_map(np.ones(dim))
         assert err.value.block_id == 1
+
+    def test_non_finite_rhs_surfaces_its_block_breakdown(self):
+        # gmres(2) runs one cycle capped at two steps; a NaN right-hand side
+        # in block 0 must stop the solve at once, not run to max_outer
+        problem = make_problem(4)
+        rhs = problem.rhs.copy()
+        rhs[5] = np.nan
+        poisoned = LinearProblem(problem.matrix, rhs, problem.grid)
+        config = OuterConfig(block_grid=(2, 2, 2), inner=InnerSolverSpec("gmres", 2))
+        with pytest.raises(SolverBreakdownError, match="block 0") as err:
+            outer_solve(poisoned, config)
+        assert (err.value.block_id, err.value.outer_iteration) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "mode,execution",
+        [("sync", "replay"), ("async", "replay"), ("sync", "threads"), ("async", "threads")],
+    )
+    def test_inner_solver_prepared_once_per_block(self, monkeypatch, mode, execution):
+        original = multisplit.prepare
+        prepared = Counter()
+
+        def counting(spec, a, block_id=0):
+            prepared[block_id] += 1
+            return original(spec, a, block_id)
+
+        monkeypatch.setattr(multisplit, "prepare", counting)
+        config = OuterConfig(
+            block_grid=(2, 2, 1),
+            inner=InnerSolverSpec("gmres", 5),
+            mode=mode,
+            max_outer=3,
+            execution=execution,
+        )
+        assert outer_solve(make_problem(4), config).outer_iterations == 3
+        assert prepared == Counter(range(4))
 
     def test_threads_slow_block_is_not_a_deadlock(self, monkeypatch):
         # block 0 waits at the sync rendezvous while block 1 is still in its
@@ -447,11 +487,11 @@ class TestOuterSolve:
         original = multisplit.inner_solve
         slept = []
 
-        def slow_block_1(a, rhs, x0, spec):
-            if a.num_rows == 2 and not slept:
+        def slow_block_1(solver, rhs, x0):
+            if rhs.shape[0] == 2 and not slept:
                 slept.append(True)
                 time.sleep(0.2)
-            return original(a, rhs, x0, spec)
+            return original(solver, rhs, x0)
 
         monkeypatch.setattr(multisplit, "inner_solve", slow_block_1)
         problem = build_laplace_3d(Grid3D(5, 1, 1, DirichletBoundary({"x_lo": 1.0})))
