@@ -1,10 +1,11 @@
 """Stationary and Krylov solvers: the baseline methods and the inner stage.
 
 ``prepare`` binds a solver to one matrix once; the prepared solver carries
-no state from one call to the next. All solvers stop when the relative
-residual ||b - Ax|| / ||b|| does not exceed ``tolerance`` (absolute residual
-when b = 0), or after ``max_iterations``; a non-finite residual reports
-``breakdown``. As the inner stage of the two-stage method the tolerance is
+no state from one call to the next. The iterative solvers stop when the
+relative residual ||b - Ax|| / ||b|| does not exceed ``tolerance`` (absolute
+residual when b = 0), or after ``max_iterations``; a non-finite residual
+reports ``breakdown``. The direct solve is exact and does not measure its
+residual: it reports 0.0 by convention. As the inner stage of the two-stage method the tolerance is
 normally 0, so the iteration cap is the only control, matching how the
 outer algorithm is tuned.
 
@@ -66,7 +67,13 @@ class InnerSolverSpec:
 
 @dataclass
 class InnerSolveReport:
-    """Outcome of one solver invocation."""
+    """Outcome of one solver invocation.
+
+    ``final_relative_residual`` and ``residual_history`` are measured or
+    recurrence-estimated residuals, except for the direct kind: its exact
+    solve reports 0.0 by convention (infinity on breakdown), not a
+    measurement.
+    """
 
     iterations_used: int
     final_relative_residual: float
@@ -117,6 +124,8 @@ def solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
 
 
 def _jacobi(spec: InnerSolverSpec, a: SparseMatrix):
+    """The residual b - d*x - off @ x reuses the next sweep's ``off @ x``:
+    k sweeps make 1 + k spmv."""
     n = a.num_rows
     d = a.diagonal()
     singular = bool(np.any(d == 0.0))
@@ -128,13 +137,15 @@ def _jacobi(spec: InnerSolverSpec, a: SparseMatrix):
         if singular:
             return x, InnerSolveReport(0, np.inf, "breakdown")
         scale = _scale(b)
-        rel = float(np.linalg.norm(b - spmv(a, x))) / scale
+        off_x = spmv(off, x)
+        rel = float(np.linalg.norm(b - d * x - off_x)) / scale
         if rel <= spec.tolerance:
             return x, InnerSolveReport(0, rel, "tolerance_met")
         history = []
         for it in range(1, spec.max_iterations + 1):
-            x = (b - spmv(off, x)) / d
-            rel = float(np.linalg.norm(b - spmv(a, x))) / scale
+            x = (b - off_x) / d
+            off_x = spmv(off, x)
+            rel = float(np.linalg.norm(b - d * x - off_x)) / scale
             history.append(rel)
             if not np.isfinite(rel):
                 return x, InnerSolveReport(it, rel, "breakdown", history)
@@ -274,9 +285,12 @@ def factor_direct(a: SparseMatrix, block_id: int):
     """Dense LU factor of block ``block_id``'s ``a``, computed once.
 
     Returns ``solve(b, x0) -> (x, report)``, an exact solve that ignores
-    ``x0`` and counts as one iteration. A singular factor or a non-finite ``b`` gives a non-finite
-    residual, which reports ``breakdown``. Blocks above the dense oracle's
-    cap are refused before anything is densified.
+    ``x0`` and counts as one iteration. The solve does not measure its
+    residual: a finite x reports ``tolerance_met`` with residual 0.0, and a
+    non-finite x (a singular factor or a non-finite ``b``) reports
+    ``breakdown`` with an infinite residual. The solve holds no state, so
+    blocks with equal matrices may share it. Blocks above the dense
+    oracle's cap are refused before anything is densified.
     """
     if a.num_rows > DENSE_ORACLE_CAP:
         raise ConfigurationError(
@@ -286,10 +300,9 @@ def factor_direct(a: SparseMatrix, block_id: int):
     lu = scipy.linalg.lu_factor(a.to_dense())
 
     def solve_factored(b, x0=None) -> Solved:
-        b = as_vector(b, a.num_rows)
-        x = scipy.linalg.lu_solve(lu, b, check_finite=False)
-        rel = float(np.linalg.norm(b - spmv(a, x))) / _scale(b)
-        stop = "tolerance_met" if np.isfinite(rel) else "breakdown"
-        return x, InnerSolveReport(1, rel, stop, [rel])
+        x = scipy.linalg.lu_solve(lu, as_vector(b, a.num_rows), check_finite=False)
+        if np.isfinite(x).all():
+            return x, InnerSolveReport(1, 0.0, "tolerance_met", [0.0])
+        return x, InnerSolveReport(1, np.inf, "breakdown", [np.inf])
 
     return solve_factored

@@ -464,11 +464,28 @@ class _WorkerContext:
 
 
 def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec) -> list:
-    """Each block's inner solver, prepared once per solve."""
+    """Each block's inner solver, prepared once per solve.
+
+    Direct solves hold nothing but their factor, so blocks whose ``a_ii``
+    is byte-equal (shape, indptr, indices and data) share one, factored at
+    the first such block in block order; that block names any error. Every
+    other kind gets one solver per block: threads run blocks concurrently,
+    and a GMRES solver keeps its basis between calls.
+    """
     if spec.kind == "gmres" and spec.restart is None:
         # the inner stage runs one cycle of the configured length
         spec = replace(spec, restart=spec.max_iterations)
-    return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
+    if spec.kind != "direct":
+        return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
+    factors: dict[tuple, object] = {}  # one per distinct matrix
+    solvers = []
+    for ws in workspaces:
+        a = ws.a_ii
+        key = (a.shape, *(v.tobytes() for v in (a.row_offsets, a.col_indices, a.values)))
+        if key not in factors:
+            factors[key] = prepare(spec, a, ws.block_id)
+        solvers.append(factors[key])
+    return solvers
 
 
 def inner_solve(solver, rhs: np.ndarray, x0: np.ndarray):
@@ -669,6 +686,10 @@ def _run_threads(contexts, fabric):
                     return
                 if signal is None:
                     fabric.wait_for_change(ctx.workspace.block_id, version)
+                else:
+                    # offer the interpreter lock to a peer after each
+                    # iteration; else one worker can run thousands ahead
+                    time.sleep(0)
         except BaseException as exc:  # propagated after join
             with errors_lock:
                 errors.append(exc)
@@ -905,8 +926,8 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     stacked iteration with b = 0 and direct inner solves. With no overlap
     this is precisely M^-1 N for M the block diagonal of A; with overlap it
     is the implemented multisplitting operator whose spectral radius governs
-    convergence. Each block is factored once; a singular block raises
-    SolverBreakdownError.
+    convergence. Each distinct block matrix is factored once; a singular
+    block raises SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp)

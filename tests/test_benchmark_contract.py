@@ -23,22 +23,31 @@ def load_tracer():
     return module.Tracer
 
 
-def traced_calls(kind, mode):
-    """Span counts and outer iterations of one traced replay solve on 4^3
-    with 2x2x2 blocks."""
+def traced_calls(kind, mode, shape=(4, 4, 4), block_grid=(2, 2, 2)):
+    """Span counts and outer iterations of one traced replay solve, by
+    default on 4^3 with 2x2x2 blocks."""
     tracer = load_tracer()()
     config = multisplit.OuterConfig(
-        block_grid=(2, 2, 2),
+        block_grid=block_grid,
         overlap=1,
         inner=inner_solvers.InnerSolverSpec(kind, 10),
         mode=mode,
         tol=1e-6,
     )
     with tracer.installed():
-        grid = problems.Grid3D(4, 4, 4, problems.DirichletBoundary({"x_lo": 1.0}))
+        grid = problems.Grid3D(*shape, problems.DirichletBoundary({"x_lo": 1.0}))
         result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
     assert result.converged
     return tracer.totals()[2], result.outer_iterations
+
+
+def distinct_block_matrices(shape, block_grid):
+    """How many different dense block matrices the decomposition holds."""
+    grid = problems.Grid3D(*shape)
+    workspaces = multisplit.build_workspaces(
+        problems.build_laplace_3d(grid), problems.decompose(grid, block_grid, 1)
+    )
+    return len({ws.a_ii.to_dense().tobytes() for ws in workspaces})
 
 
 # direct solves factor and solve through scipy.linalg in
@@ -57,6 +66,16 @@ def test_traced_solve_records_every_layer(kind, inner_spans):
     block_solves = 8 * outer_iterations
     assert calls["inner_solve" if kind == "gmres" else "lu_solve"] == block_solves
     assert calls["inner_solve"] + calls["lu_solve"] == block_solves
+    if kind == "direct":
+        assert calls["lu_factor"] == distinct_block_matrices((4, 4, 4), (2, 2, 2))
+
+
+def test_traced_direct_solve_factors_each_distinct_block_once():
+    # along x, the two end blocks of the 12x4x4 slab are equal, and so are
+    # the two middle ones
+    calls, outer_iterations = traced_calls("direct", "sync", (12, 4, 4), (4, 1, 1))
+    assert calls["lu_factor"] == distinct_block_matrices((12, 4, 4), (4, 1, 1)) == 2
+    assert calls["lu_solve"] == 4 * outer_iterations
 
 
 def test_traced_async_solve_records_the_per_block_layers():

@@ -6,6 +6,7 @@ import pytest
 from blocksolve import inner_solvers
 from blocksolve.errors import ConfigurationError
 from blocksolve.inner_solvers import (
+    InnerSolveReport,
     InnerSolverSpec,
     cg_solve,
     gmres_solve,
@@ -27,6 +28,14 @@ def laplace_4cubed():
 def random_spd(rng, n):
     b = rng.standard_normal((n, n))
     return SparseMatrix.from_dense(b @ b.T + n * np.eye(n))
+
+
+def count_spmv(monkeypatch):
+    """Every product the solvers make from now on."""
+    original = inner_solvers.spmv
+    calls = []
+    monkeypatch.setattr(inner_solvers, "spmv", lambda a, x: calls.append(1) or original(a, x))
+    return calls
 
 
 class TestSpec:
@@ -79,6 +88,17 @@ class TestJacobi:
             x_ref = (b - (dense - np.diag(d)) @ x_ref) / d
             x, _ = jacobi_solve(a, b, np.zeros(n), InnerSolverSpec("jacobi", sweeps))
             assert np.abs(x - x_ref).max() <= 1e-14 * max(np.abs(x_ref).max(), 1.0)
+
+    @pytest.mark.parametrize("sweeps,tolerance", [(1, 0.0), (7, 0.0), (500, 1e-6)])
+    def test_one_spmv_per_sweep(self, monkeypatch, sweeps, tolerance):
+        problem = laplace_4cubed()
+        calls = count_spmv(monkeypatch)
+        spec = InnerSolverSpec("jacobi", sweeps, tolerance)
+        x, report = jacobi_solve(problem.matrix, problem.rhs, np.zeros(64), spec)
+        assert len(calls) == 1 + report.iterations_used
+        assert report.stop_reason == ("tolerance_met" if tolerance else "max_iterations")
+        true_rel = residual_norms(problem.matrix, x, problem.rhs)[1]
+        assert report.final_relative_residual == pytest.approx(true_rel, rel=1e-10)
 
     def test_zero_diagonal_breakdown(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
@@ -275,14 +295,18 @@ class TestCommonBehavior:
         assert report.stop_reason == "tolerance_met"
         assert residual_norms(problem.matrix, x, problem.rhs)[1] <= tol * (1 + 1e-12)
 
-    def test_direct_dispatch(self):
+    def test_direct_dispatch(self, monkeypatch):
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
+        calls = count_spmv(monkeypatch)
         x, report = solve(
             problem.matrix, problem.rhs, np.zeros(64), InnerSolverSpec("direct", 1)
         )
         assert report.iterations_used == 1
         assert np.abs(x - x_true).max() <= 1e-12
+        # the exact solve does not measure its residual
+        assert calls == []
+        assert report == InnerSolveReport(1, 0.0, "tolerance_met", [0.0])
 
     def test_direct_refuses_matrix_over_dense_cap(self, monkeypatch):
         # the 21x21x19 system has 8379 rows, over the 8192-row dense cap

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -584,6 +585,87 @@ class TestFusedSyncReplay:
     def test_empty_buffer_pool_rejected_without_a_fabric(self):
         with pytest.raises(ConfigurationError, match="R: buffer pool"):
             OuterConfig(buffer_slots=0)
+
+
+def count_factors(monkeypatch):
+    """The row counts of every dense LU factor made from now on."""
+    original = scipy.linalg.lu_factor
+    factored = []
+
+    def counting(a, *args, **kwargs):
+        factored.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    return factored
+
+
+def slab():
+    # 4 blocks along x with overlap 1: blocks 0 and 3 have 64 rows and equal
+    # matrices, blocks 1 and 2 have 80 rows and equal matrices
+    return build_laplace_3d(Grid3D(12, 4, 4, DirichletBoundary({"x_lo": 1.0})))
+
+
+SLAB_DIRECT = OuterConfig(
+    block_grid=(4, 1, 1),
+    overlap=1,
+    inner=InnerSolverSpec("direct", 1),
+    tol=1e-6,
+    # async threads stopped within 166 outer iterations in each of 1000
+    # solves on 2 vCPUs, 300 of them beside a CPU-bound process
+    max_outer=5000,
+)
+
+
+class TestSharedDirectFactors:
+    """Direct blocks with byte-equal matrices share one factor."""
+
+    def test_equal_blocks_share_one_factor_in_every_mode(self, monkeypatch):
+        factored = count_factors(monkeypatch)
+        problem = slab()
+        results = {}
+        for mode in ("sync", "async"):
+            for execution in ("replay", "threads"):
+                factored.clear()
+                config = replace(SLAB_DIRECT, mode=mode, execution=execution)
+                results[mode, execution] = outer_solve(problem, config)
+                assert results[mode, execution].converged, (mode, execution)
+                assert factored == [64, 80], (mode, execution)
+        replay, threads = results["sync", "replay"], results["sync", "threads"]
+        assert replay.outer_iterations == threads.outer_iterations
+        assert replay.final_true_residual == pytest.approx(
+            threads.final_true_residual, rel=1e-10
+        )
+
+    def test_regular_decomposition_has_27_distinct_blocks(self, monkeypatch):
+        factored = count_factors(monkeypatch)
+        problem = make_problem(24)
+        iteration_operator(problem, decompose(problem.grid, (4, 4, 4), 1))
+        assert len(factored) == 27  # of 64 blocks
+
+    def test_a_changed_block_gets_its_own_factor(self, monkeypatch):
+        problem = slab()
+        row = 7 + 12 * (1 + 4 * 2)  # the point (7, 1, 2)
+        workspaces = build_workspaces(problem, decompose(problem.grid, (4, 1, 1), 1))
+        assert [ws.block_id for ws in workspaces if row in ws.ext] == [2]
+        factored = count_factors(monkeypatch)
+        assert outer_solve(problem, SLAB_DIRECT).converged
+        assert factored == [64, 80]  # blocks 1 and 2 share
+        dense = problem.matrix.to_dense()
+        dense[row, row] += 1.0  # the same sparsity, one value changed
+        changed = LinearProblem(SparseMatrix.from_dense(dense), problem.rhs, problem.grid)
+        factored.clear()
+        result = outer_solve(changed, SLAB_DIRECT)
+        assert result.converged and result.final_true_residual < 1e-6
+        assert factored == [64, 80, 80]
+        dense[row] = 0.0
+        singular = LinearProblem(SparseMatrix.from_dense(dense), problem.rhs, problem.grid)
+        factored.clear()
+        singular_factor = pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero")
+        with pytest.raises(SolverBreakdownError, match="block 2") as err, singular_factor:
+            outer_solve(singular, SLAB_DIRECT)
+        assert (err.value.block_id, err.value.outer_iteration) == (2, 0)
+        assert factored == [64, 80, 80]
 
 
 class TestFixedPoint:
