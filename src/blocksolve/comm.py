@@ -7,10 +7,11 @@ of operation exist:
 * asynchronous ops (``halo_exchange_async``, ``reduce_async``) are plain
   calls that never wait, whatever the peers are doing;
 * synchronous ops (``halo_exchange_sync``, ``reduce_sync``,
-  ``confirm_round``) are generators that yield ``None`` while their
-  rendezvous is incomplete. In replay mode a round-robin scheduler resumes
-  the workers; in free-running mode each worker thread blocks on the fabric
-  condition variable between resumes.
+  ``confirm_exchange``, ``confirm_round``) are generators over one shared
+  rendezvous, ``Fabric._rendezvous``, that yield ``None`` while it is
+  incomplete. In replay mode a round-robin scheduler resumes the workers;
+  in free-running mode each worker thread blocks on the fabric condition
+  variable between resumes.
 
 Network latency is injected by a seeded ``DelayModel`` whose unit is outer
 iterations: a message sent at iteration k with delay d becomes deliverable
@@ -46,6 +47,11 @@ __all__ = [
 DEFAULT_BUFFER_SLOTS = 100  # R used throughout the experiments
 
 DELAY_KINDS = ("none", "fixed", "uniform", "drop_free_jitter")
+
+# Rendezvous keys of a confirmation. Both rounds meet over the live set, so a
+# departed worker never blocks them. An open flush round is the pending
+# request; each worker leaving the flush opens the sum round it joins next.
+_CONFIRM_FLUSH, _CONFIRM_SUM = "confirm flush", "confirm sum"
 
 
 @dataclass(frozen=True)
@@ -121,18 +127,6 @@ class HaloBufferPool:
         self.in_flight.append(deliver_at)
         self.mailbox.append((deliver_at, message))
 
-    def pop_deliverable(self, receiver_iteration: int, limit: int) -> list[HaloMessage]:
-        taken: list[HaloMessage] = []
-        kept: deque[tuple[int, HaloMessage]] = deque()
-        while self.mailbox:
-            deliver_at, msg = self.mailbox.popleft()
-            if deliver_at <= receiver_iteration and len(taken) < limit:
-                taken.append(msg)
-            else:
-                kept.append((deliver_at, msg))
-        self.mailbox = kept
-        return taken
-
 
 class ReductionTree:
     """Static reduction tree over worker ids, arity 2 by default."""
@@ -161,28 +155,18 @@ class ReductionTree:
         return depth
 
 
-class _SyncRound:
-    """Rendezvous state for one synchronous reduction round."""
-
-    def __init__(self, k: int, participants: set[int]):
-        self.k = k
-        self.participants = participants
-        self.values: dict[int, float] = {}
-        self.total: float | None = None
-
-
-class _ConfirmRound:
-    """Rendezvous over all live workers used to confirm async termination.
-
-    Two phases: first every worker posts its current halo payloads (a
-    synchronous flush, so residues are computed from a consistent snapshot),
-    then every worker contributes its recomputed local residue to the sum.
-    """
-
-    def __init__(self):
-        self.board: dict[int, dict[int, np.ndarray]] = {}
-        self.values: dict[int, float] = {}
-        self.total: float | None = None
+def _deliver(queue: deque, now: int, limit: int | None = None) -> list[tuple]:
+    """Remove and return, in send order, the ``(deliver_at, item)`` entries of
+    ``queue`` deliverable at iteration ``now``, at most ``limit`` of them."""
+    taken, kept = [], []
+    for entry in queue:
+        if entry[0] <= now and (limit is None or len(taken) < limit):
+            taken.append(entry)
+        else:
+            kept.append(entry)
+    queue.clear()
+    queue.extend(kept)
+    return taken
 
 
 class _Estimate:
@@ -242,15 +226,14 @@ class Fabric:
         self._live = set(range(num_workers))
         self._waiting: dict[int, int] = {}  # worker -> version it waits to move past
 
-        self._pools: dict[tuple[int, int], HaloBufferPool] = {}
-        self._sync_board: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for w, nbrs in enumerate(self.topology):
-            for n in nbrs:
-                self._pools[(w, n)] = HaloBufferPool(buffer_slots)
-                self._sync_board[(w, n)] = {}
-
-        self._sync_calls = [0] * num_workers
-        self._sync_rounds: dict[int, _SyncRound] = {}
+        self._pools = {
+            (w, n): HaloBufferPool(buffer_slots)
+            for w, nbrs in enumerate(self.topology)
+            for n in nbrs
+        }
+        # rendezvous key -> ({worker: (k, post)}, posters yet to read)
+        self._rounds: dict[object, tuple[dict[int, tuple], set[int]]] = {}
+        self._reductions = [0] * num_workers  # reduce_sync calls per worker
 
         # asynchronous tree reduction state
         self._up: dict[tuple[int, int], deque] = {}
@@ -265,7 +248,6 @@ class Fabric:
         self._latest_estimate: list[_Estimate | None] = [None] * num_workers
         self._forwarded_stamp = [-1] * num_workers
 
-        self._confirm: _ConfirmRound | None = None
         self._stop_requested = False
 
     # -- bookkeeping -------------------------------------------------------
@@ -335,6 +317,35 @@ class Fabric:
             pool = self._pools[(source, target)]
             return (len(pool.in_flight), pool.free_slots, pool.capacity)
 
+    # -- rendezvous ----------------------------------------------------------
+
+    def _rendezvous(self, key, block_id: int, k: int, post, peers, lost):
+        """Generator behind every synchronous op: meet ``peers`` at round ``key``.
+
+        Posts ``(k, post)`` and yields while a worker in ``peers`` has not
+        posted, then returns the round, ``{worker: (k, post)}``. A peer that
+        terminated without posting raises ``ProtocolError(lost(peer))``;
+        passing the live set itself as ``peers`` instead completes over
+        whoever is left. The round is dropped once every poster has read it.
+        """
+        with self._lock:
+            posts, unread = self._rounds.setdefault(key, ({}, set()))
+            posts[block_id] = (k, post)
+            unread.add(block_id)
+            self._bump()
+        while True:
+            with self._lock:
+                missing = [w for w in peers if w not in posts]
+                if not missing:
+                    unread.discard(block_id)
+                    if not unread:
+                        del self._rounds[key]
+                    return posts
+                dead = [w for w in missing if w not in self._live]
+                if dead:
+                    raise ProtocolError(lost(dead[0]))
+            yield
+
     # -- halo exchange -----------------------------------------------------
 
     def _check_outgoing(self, block_id: int, outgoing: dict[int, np.ndarray]):
@@ -355,30 +366,18 @@ class Fabric:
         if self.mode != "sync":
             raise ProtocolError("halo_exchange_sync requires sync mode")
         self._check_outgoing(block_id, outgoing)
-        with self._lock:
-            for nbr, payload in outgoing.items():
-                self._sync_board[(block_id, nbr)][k] = np.array(payload, copy=True)
-            self._bump()
-        neighbors = self.topology[block_id]
-        while True:
-            with self._lock:
-                missing = [
-                    nbr for nbr in neighbors if k not in self._sync_board[(nbr, block_id)]
-                ]
-                if not missing:
-                    result = {}
-                    for nbr in neighbors:
-                        payload = self._sync_board[(nbr, block_id)].pop(k)
-                        result[nbr] = HaloMessage(nbr, block_id, k, payload)
-                    self._bump()
-                    return result
-                dead = [nbr for nbr in missing if nbr not in self._live]
-                if dead:
-                    raise ProtocolError(
-                        f"sync halo exchange deadlock: block {dead[0]} terminated "
-                        f"without sending to block {block_id} at iteration {k}"
-                    )
-            yield
+        copies = {nbr: np.array(payload, copy=True) for nbr, payload in outgoing.items()}
+        posts = yield from self._rendezvous(
+            ("halo", k), block_id, k, copies, self.topology[block_id],
+            lambda dead: (
+                f"sync halo exchange deadlock: block {dead} terminated "
+                f"without sending to block {block_id} at iteration {k}"
+            ),
+        )
+        return {
+            nbr: HaloMessage(nbr, block_id, k, posts[nbr][1][block_id])
+            for nbr in self.topology[block_id]
+        }
 
     def halo_exchange_async(
         self, block_id: int, outgoing: dict[int, np.ndarray], k: int
@@ -415,11 +414,11 @@ class Fabric:
                 )
 
                 in_pool = self._pools[(nbr, block_id)]
-                taken = in_pool.pop_deliverable(
-                    self._iteration[block_id], self.buffer_slots
+                taken = _deliver(
+                    in_pool.mailbox, self._iteration[block_id], self.buffer_slots
                 )
                 if taken:
-                    best = max(taken, key=lambda msg: msg.outer_iteration)
+                    _, best = max(taken, key=lambda entry: entry[1].outer_iteration)
                     if best.outer_iteration > in_pool.last_applied_seq:
                         in_pool.last_applied_seq = best.outer_iteration
                         fresh[nbr] = best
@@ -438,35 +437,23 @@ class Fabric:
     def reduce_sync(self, block_id: int, value: float, k: int):
         """Generator: exact collective sum over all workers for iteration k."""
         with self._lock:
-            index = self._sync_calls[block_id]
-            self._sync_calls[block_id] += 1
-            round_ = self._sync_rounds.get(index)
-            if round_ is None:
-                round_ = _SyncRound(k, set(self._live))
-                self._sync_rounds[index] = round_
-            if round_.k != k:
-                raise ProtocolError(
-                    f"mismatched collective: block {block_id} reduced iteration {k} "
-                    f"while round {index} belongs to iteration {round_.k}"
-                )
-            round_.values[block_id] = float(value)
-            self._bump()
-        while True:
-            with self._lock:
-                missing = round_.participants - set(round_.values)
-                if not missing:
-                    if round_.total is None:
-                        round_.total = float(
-                            sum(round_.values[w] for w in sorted(round_.values))
-                        )
-                    return round_.total
-                dead = [w for w in missing if w not in self._live]
-                if dead:
+            index = self._reductions[block_id]
+            self._reductions[block_id] += 1
+            posts, _ = self._rounds.get(("reduce", index), ({}, None))
+            for round_k, _ in posts.values():
+                if round_k != k:
                     raise ProtocolError(
-                        f"sync reduction deadlock: block {dead[0]} terminated without "
-                        f"contributing to round {index}"
+                        f"mismatched collective: block {block_id} reduced iteration {k} "
+                        f"while round {index} belongs to iteration {round_k}"
                     )
-            yield
+        posts = yield from self._rendezvous(
+            ("reduce", index), block_id, k, float(value), range(self.num_workers),
+            lambda dead: (
+                f"sync reduction deadlock: block {dead} terminated without "
+                f"contributing to round {index}"
+            ),
+        )
+        return float(sum(posts[w][1] for w in sorted(posts)))
 
     def reduce_async(
         self, block_id: int, value: float, k: int
@@ -482,35 +469,21 @@ class Fabric:
         with self._lock:
             now = self._iteration[block_id]
             for child in tree.children(block_id):
-                queue = self._up[(child, block_id)]
-                best: _Estimate | None = None
-                kept = deque()
-                while queue:
-                    deliver_at, est = queue.popleft()
-                    if deliver_at <= now:
-                        if best is None or est.stamp > best.stamp:
-                            best = est
-                    else:
-                        kept.append((deliver_at, est))
-                self._up[(child, block_id)] = kept
-                if best is not None:
+                taken = _deliver(self._up[(child, block_id)], now)
+                if taken:
+                    _, best = max(taken, key=lambda entry: entry[1].stamp)
                     cached = self._child_cache[block_id].get(child)
                     if cached is None or best.stamp > cached.stamp:
                         self._child_cache[block_id][child] = best
 
             parent = tree.parent(block_id)
             if parent is not None:
-                queue = self._down[(parent, block_id)]
-                kept = deque()
-                while queue:
-                    deliver_at, est = queue.popleft()
-                    if deliver_at <= now:
-                        latest = self._latest_estimate[block_id]
-                        if latest is None or est.stamp > latest.stamp:
-                            self._latest_estimate[block_id] = est
-                    else:
-                        kept.append((deliver_at, est))
-                self._down[(parent, block_id)] = kept
+                taken = _deliver(self._down[(parent, block_id)], now)
+                if taken:
+                    _, best = max(taken, key=lambda entry: entry[1].stamp)
+                    latest = self._latest_estimate[block_id]
+                    if latest is None or best.stamp > latest.stamp:
+                        self._latest_estimate[block_id] = best
 
             partial = float(value)
             contributions = {block_id: k}
@@ -547,13 +520,19 @@ class Fabric:
     def request_confirm(self) -> None:
         """Open a confirmation round unless one is already pending."""
         with self._lock:
-            if self._confirm is None:
-                self._confirm = _ConfirmRound()
+            self._rounds.setdefault(_CONFIRM_FLUSH, ({}, set()))
             self._bump()
 
     def confirm_pending(self) -> bool:
         with self._lock:
-            return self._confirm is not None
+            return _CONFIRM_FLUSH in self._rounds
+
+    def _check_confirm(self, block_id: int, key: str) -> None:
+        with self._lock:
+            if key not in self._rounds:
+                raise ProtocolError(
+                    f"block {block_id} joined a confirmation that was never requested"
+                )
 
     def confirm_exchange(
         self, block_id: int, outgoing: dict[int, np.ndarray], k: int
@@ -561,57 +540,36 @@ class Fabric:
         """Generator: synchronous halo flush opening a confirmation round.
 
         All live workers post their current payloads and each receives its
-        neighbors' iteration-k values, so the residues reduced afterwards
-        describe one consistent global iterate. Bypasses the buffer pools
-        but advances their applied-sequence floor so later pool receives
-        cannot regress freshness.
+        neighbors' latest values, labelled with the iteration each sender
+        posted, so the residues reduced afterwards describe one consistent
+        global iterate. Bypasses the buffer pools but advances their
+        applied-sequence floor so later pool receives cannot regress
+        freshness.
         """
         self._check_outgoing(block_id, outgoing)
+        self._check_confirm(block_id, _CONFIRM_FLUSH)
+        copies = {nbr: np.array(payload, copy=True) for nbr, payload in outgoing.items()}
+        posts = yield from self._rendezvous(
+            _CONFIRM_FLUSH, block_id, k, copies, self._live, None
+        )
+        fresh = {}
         with self._lock:
-            round_ = self._confirm
-            if round_ is None:
-                raise ProtocolError(
-                    f"block {block_id} joined a confirmation that was never requested"
-                )
-            round_.board[block_id] = {
-                nbr: np.array(payload, copy=True) for nbr, payload in outgoing.items()
-            }
-            self._bump()
-        while True:
-            with self._lock:
-                if self._live <= set(round_.board):
-                    fresh = {}
-                    for nbr in self.topology[block_id]:
-                        posted = round_.board.get(nbr)
-                        if posted is not None and block_id in posted:
-                            fresh[nbr] = HaloMessage(nbr, block_id, k, posted[block_id])
-                            pool = self._pools[(nbr, block_id)]
-                            pool.last_applied_seq = max(pool.last_applied_seq, k)
-                    return fresh
-            yield
+            for nbr in self.topology[block_id]:
+                if nbr in posts:
+                    sent_k, payloads = posts[nbr]
+                    fresh[nbr] = HaloMessage(nbr, block_id, sent_k, payloads[block_id])
+                    pool = self._pools[(nbr, block_id)]
+                    pool.last_applied_seq = max(pool.last_applied_seq, sent_k)
+            self._rounds.setdefault(_CONFIRM_SUM, ({}, set()))
+        return fresh
 
     def confirm_round(self, block_id: int, value: float):
         """Generator: synchronous sum over all live workers' current values."""
-        with self._lock:
-            round_ = self._confirm
-            if round_ is None:
-                raise ProtocolError(
-                    f"block {block_id} joined a confirmation that was never requested"
-                )
-            round_.values[block_id] = float(value)
-            self._bump()
-        while True:
-            with self._lock:
-                if round_.total is not None:
-                    return round_.total
-                if self._live <= set(round_.values):
-                    round_.total = float(
-                        sum(round_.values[w] for w in sorted(round_.values))
-                    )
-                    self._confirm = None
-                    self._bump()
-                    return round_.total
-            yield
+        self._check_confirm(block_id, _CONFIRM_SUM)
+        posts = yield from self._rendezvous(
+            _CONFIRM_SUM, block_id, None, float(value), self._live, None
+        )
+        return float(sum(posts[w][1] for w in sorted(posts)))
 
 
 def create_fabric(

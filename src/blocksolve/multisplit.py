@@ -502,6 +502,17 @@ def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
     return x, report
 
 
+def _apply_incoming(ws: BlockWorkspace, state: BlockState, incoming) -> float:
+    """Take the received halo payloads, merge the overlap and return the
+    block's new local relative residual."""
+    for nbr, message in incoming.items():
+        state.payload_cache[nbr] = message.payload
+        state.payload_seq[nbr] = message.outer_iteration
+    merge_overlap(ws, state)
+    state.local_residual = local_relative_residual(ws, state)
+    return state.local_residual
+
+
 def _block_worker(ctx: _WorkerContext):
     """Generator running one block's outer loop; yields at every wait point
     and once per completed iteration."""
@@ -532,13 +543,7 @@ def _block_worker(ctx: _WorkerContext):
             )
         else:
             incoming = fabric.halo_exchange_async(ws.block_id, outgoing, k)
-        for nbr, message in incoming.items():
-            state.payload_cache[nbr] = message.payload
-            state.payload_seq[nbr] = message.outer_iteration
-
-        merge_overlap(ws, state)
-        r_local = local_relative_residual(ws, state)
-        state.local_residual = r_local
+        r_local = _apply_incoming(ws, state, incoming)
 
         if cfg.mode == "sync":
             total = yield from fabric.reduce_sync(ws.block_id, r_local**2, k)
@@ -565,19 +570,12 @@ def _block_worker(ctx: _WorkerContext):
             if decision == "confirm":
                 fabric.request_confirm()
             if fabric.confirm_pending():
-                # flush iteration-k payloads synchronously so the
-                # confirmed residues describe one consistent iterate
+                # flush every worker's current payloads synchronously so
+                # the confirmed residues describe one consistent iterate
                 flushed = yield from fabric.confirm_exchange(
                     ws.block_id, outgoing, k
                 )
-                for nbr, message in flushed.items():
-                    state.payload_cache[nbr] = message.payload
-                    state.payload_seq[nbr] = max(
-                        state.payload_seq[nbr], message.outer_iteration
-                    )
-                merge_overlap(ws, state)
-                r_local = local_relative_residual(ws, state)
-                state.local_residual = r_local
+                r_local = _apply_incoming(ws, state, flushed)
                 confirmed = yield from fabric.confirm_round(
                     ws.block_id, r_local**2
                 )

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -235,6 +236,14 @@ class TestReduceSync:
         with pytest.raises(ProtocolError, match="mismatched"):
             run_rendezvous({0: gen0, 1: gen1})
 
+    def test_terminated_participant_raises(self):
+        fabric = pair_fabric("sync")
+        gen = fabric.reduce_sync(0, 1.0, 0)
+        next(gen)  # posted; worker 1 has not
+        fabric.deregister(1)
+        with pytest.raises(ProtocolError, match="sync reduction deadlock.*terminated"):
+            next(gen)
+
 
 class TestReduceAsync:
     def test_single_worker_immediate(self):
@@ -314,6 +323,109 @@ class TestConfirm:
         fabric = pair_fabric("async")
         with pytest.raises(ProtocolError, match="never requested"):
             next(fabric.confirm_round(0, 1.0))
+
+    def test_confirm_completes_over_remaining_live_worker(self):
+        fabric = pair_fabric("async")
+        fabric.request_confirm()
+        exchange = fabric.confirm_exchange(0, {1: np.array([1.0])}, 0)
+        next(exchange)  # waits for worker 1, which then departs
+        fabric.deregister(1)
+        assert run_rendezvous({0: exchange}) == {0: {}}
+        assert run_rendezvous({0: fabric.confirm_round(0, 9.0)}) == {0: 9.0}
+        assert not fabric.confirm_pending()
+
+    def test_flush_labels_payloads_with_sender_iteration(self):
+        fabric = pair_fabric("async", record=True)
+        fabric.begin_iteration(0, 10)
+        fabric.begin_iteration(1, 5)
+        fabric.request_confirm()
+        got = run_rendezvous({
+            0: fabric.confirm_exchange(0, {1: np.array([10.0])}, 10),
+            1: fabric.confirm_exchange(1, {0: np.array([5.0])}, 5),
+        })
+        assert got[0][1].outer_iteration == 5
+        assert got[1][0].outer_iteration == 10
+        run_rendezvous({0: fabric.confirm_round(0, 1.0), 1: fabric.confirm_round(1, 1.0)})
+        # worker 1's later pool sends are fresher than its flushed payload
+        for k in range(6, 11):
+            fabric.begin_iteration(1, k)
+            fabric.halo_exchange_async(1, {0: np.array([float(k)])}, k)
+        fabric.begin_iteration(0, 11)
+        fresh = fabric.halo_exchange_async(0, {1: np.array([11.0])}, 11)
+        assert fresh[1].outer_iteration == 10
+        assert not [e for e in fabric.events if e[0] == "discard_stale"]
+
+
+class TestRoundLifetime:
+    def test_completed_rounds_are_freed(self):
+        fabric = create_fabric(3, "sync", topology=[[1], [0, 2], [1]])
+        for k in range(300):
+            for wid in range(3):
+                fabric.begin_iteration(wid, k)
+            run_rendezvous({
+                wid: fabric.halo_exchange_sync(
+                    wid, {nbr: np.array([float(k)]) for nbr in fabric.topology[wid]}, k
+                )
+                for wid in range(3)
+            })
+            run_rendezvous({wid: fabric.reduce_sync(wid, 1.0, k) for wid in range(3)})
+        assert fabric._rounds == {}
+
+        fabric = pair_fabric("async")
+        fabric.request_confirm()
+        run_rendezvous({
+            0: fabric.confirm_exchange(0, {1: np.array([1.0])}, 0),
+            1: fabric.confirm_exchange(1, {0: np.array([2.0])}, 0),
+        })
+        run_rendezvous({0: fabric.confirm_round(0, 1.0), 1: fabric.confirm_round(1, 1.0)})
+        assert fabric._rounds == {}
+
+    def test_threaded_rounds_stay_exact_and_are_freed(self):
+        # more workers than cores and a short switch interval, so threads
+        # interleave inside the shared round table
+        n, iterations = 6, 150
+        fabric = create_fabric(n, "sync", topology=[[(w - 1) % n, (w + 1) % n] for w in range(n)])
+        errors = []
+
+        def drive(wid):
+            def wait_on(gen):
+                while True:
+                    version = fabric.version
+                    try:
+                        next(gen)
+                    except StopIteration as stop:
+                        return stop.value
+                    fabric.wait_for_change(wid, version)
+
+            try:
+                for k in range(iterations):
+                    fabric.begin_iteration(wid, k)
+                    outgoing = {nbr: np.array([100.0 * wid + k]) for nbr in fabric.topology[wid]}
+                    got = wait_on(fabric.halo_exchange_sync(wid, outgoing, k))
+                    for nbr, message in got.items():
+                        assert message.payload[0] == 100.0 * nbr + k
+                    assert wait_on(fabric.reduce_sync(wid, float(wid + k), k)) == sum(
+                        float(w + k) for w in range(n)
+                    )
+            except BaseException as exc:  # re-raised by the main thread below
+                errors.append(exc)
+            finally:
+                fabric.deregister(wid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive, args=(w,), daemon=True) for w in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert fabric._rounds == {}
 
 
 class TestReductionTree:
