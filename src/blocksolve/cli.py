@@ -57,6 +57,22 @@ def _parse_float(raw: str, key: str) -> float:
         raise ConfigurationError(f"{key}: invalid number {raw!r}") from None
 
 
+def _bounded(parse, low, reason: str):
+    """Parser rejecting values below ``low``; the error names the key and ``reason``."""
+
+    def parse_bounded(raw: str, key: str):
+        value = parse(raw, key)
+        if value < low:
+            raise ConfigurationError(f"{key}: {reason}")
+        return value
+
+    return parse_bounded
+
+
+_parse_count = _bounded(_parse_int, 1, "must be at least 1")
+_parse_nonnegative = _bounded(_parse_float, 0, "must be non-negative")
+
+
 def _choice(options: tuple[str, ...], noun: str):
     """Parser accepting only ``options``; the error names the key and ``noun``."""
 
@@ -145,11 +161,11 @@ CONFIG_KEYS = {
     "gz": ConfigKey("gz", _parse_int, str, "1"),
     "overlap": ConfigKey("overlap", _parse_int, str, "0"),
     "inner": ConfigKey("inner", _choice(SOLVER_KINDS, "solver"), str, "gmres"),
-    "inner_its": ConfigKey("inner_its", _parse_int, str, "10"),
-    "inner_tol": ConfigKey("inner_tol", _parse_float, "{:.17g}".format, "0"),
+    "inner_its": ConfigKey("inner_its", _parse_count, str, "10"),
+    "inner_tol": ConfigKey("inner_tol", _parse_nonnegative, "{:.17g}".format, "0"),
     "restart": ConfigKey(
         "restart",
-        lambda raw, key: None if raw == "" else _parse_int(raw, key),
+        lambda raw, key: None if raw == "" else _parse_count(raw, key),
         lambda value: "" if value is None else str(value),
         "",
     ),
@@ -157,8 +173,8 @@ CONFIG_KEYS = {
     "R": ConfigKey("buffer_slots", _parse_int, str, "100"),
     "delay": ConfigKey("delay", lambda raw, key: parse_delay(raw, 0), format_delay, "none"),
     "seed": ConfigKey("seed", _parse_int, str, "0"),
-    "tol": ConfigKey("tol", _parse_float, "{:.17g}".format, "1e-6"),
-    "max_outer": ConfigKey("max_outer", _parse_int, str, "5000"),
+    "tol": ConfigKey("tol", _parse_nonnegative, "{:.17g}".format, "1e-6"),
+    "max_outer": ConfigKey("max_outer", _parse_count, str, "5000"),
     "residual_mode": ConfigKey("residual_mode", _choice(RESIDUAL_MODES, "mode"), str, "paper"),
     "true_res_every": ConfigKey("true_res_every", _parse_int, str, "10"),
     "exec": ConfigKey("execution", _choice(EXECUTIONS, "execution"), str, "replay"),

@@ -112,7 +112,6 @@ class HaloBufferPool:
         self.in_flight: list[int] = []  # delivery iterations of outstanding sends
         self.mailbox: deque[tuple[int, HaloMessage]] = deque()
         self.last_applied_seq = -1
-        self.last_delivery = -1  # FIFO clamp for drop_free_jitter
 
     @property
     def free_slots(self) -> int:
@@ -219,6 +218,7 @@ class Fabric:
         self.events: list[tuple] = []
 
         self._rng = np.random.default_rng(delay.seed)
+        self._last_delivery: dict[tuple, int] = {}  # channel -> latest delivery
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._version = 0
@@ -260,6 +260,18 @@ class Fabric:
     def _bump(self) -> None:
         self._version += 1
         self._changed.notify_all()
+
+    def _delivery_time(self, channel: tuple, k: int) -> int:
+        """Delivery iteration of a message sent on ``channel`` at iteration k.
+
+        Under ``drop_free_jitter`` it is never earlier than that of the
+        channel's previous message, so messages keep their send order.
+        """
+        deliver_at = k + self.delay.draw(self._rng)
+        if self.delay.kind == "drop_free_jitter":
+            deliver_at = max(deliver_at, self._last_delivery.get(channel, deliver_at))
+            self._last_delivery[channel] = deliver_at
+        return deliver_at
 
     def _event(self, *item) -> None:
         if self.record_events:
@@ -398,10 +410,7 @@ class Fabric:
                 out_pool = self._pools[(block_id, nbr)]
                 out_pool.reclaim(self._iteration[nbr])
                 if out_pool.free_slots > 0:
-                    deliver_at = k + self.delay.draw(self._rng)
-                    if self.delay.kind == "drop_free_jitter":
-                        deliver_at = max(deliver_at, out_pool.last_delivery)
-                    out_pool.last_delivery = deliver_at
+                    deliver_at = self._delivery_time(("halo", block_id, nbr), k)
                     out_pool.post(
                         deliver_at,
                         HaloMessage(block_id, nbr, k, np.array(outgoing[nbr], copy=True)),
@@ -497,7 +506,7 @@ class Fabric:
                         partial, dict(contributions), k
                     )
             else:
-                deliver_at = k + self.delay.draw(self._rng)
+                deliver_at = self._delivery_time(("up", block_id, parent), k)
                 self._up[(block_id, parent)].append(
                     (deliver_at, _Estimate(partial, dict(contributions), k))
                 )
@@ -505,7 +514,7 @@ class Fabric:
             latest = self._latest_estimate[block_id]
             if latest is not None and latest.stamp > self._forwarded_stamp[block_id]:
                 for child in tree.children(block_id):
-                    deliver_at = k + self.delay.draw(self._rng)
+                    deliver_at = self._delivery_time(("down", block_id, child), k)
                     self._down[(block_id, child)].append((deliver_at, latest))
                 self._forwarded_stamp[block_id] = latest.stamp
             self._bump()

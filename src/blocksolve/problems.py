@@ -2,15 +2,15 @@
 
 Unknowns are the interior points of an (nx, ny, nz) grid surrounded by
 Dirichlet boundary data, ordered x-fastest: index = i + nx*(j + ny*k).
-Boolean masks over the grid are stored with shape (nz, ny, nx) so that
-``mask.ravel()`` follows the same ordering.
 
 A block decomposition splits the grid into disjoint owned boxes on a
 (gx, gy, gz) block grid. With overlap o > 0, each block additionally solves
-an extended region: the owned box dilated o times under the 7-point stencil
+an extended region: the grid points within L1 (stencil) distance o of its
+owned box, which is the owned box dilated o times under the 7-point stencil
 (never past the global boundary). Every grid point is covered by one or more
 extended regions; overlapping values are later merged with equal weights
-1/m over the m covering blocks.
+1/m over the m covering blocks. Everything is computed from the boxes, so no
+full-grid array is built per block.
 """
 
 from __future__ import annotations
@@ -166,21 +166,6 @@ def build_laplace_3d(grid: Grid3D) -> LinearProblem:
     return LinearProblem(SparseMatrix(matrix), rhs.ravel(), grid)
 
 
-def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
-    """Dilate a (nz, ny, nx) boolean mask under the 7-point stencil."""
-    out = mask.copy()
-    for _ in range(steps):
-        grown = out.copy()
-        grown[1:, :, :] |= out[:-1, :, :]
-        grown[:-1, :, :] |= out[1:, :, :]
-        grown[:, 1:, :] |= out[:, :-1, :]
-        grown[:, :-1, :] |= out[:, 1:, :]
-        grown[:, :, 1:] |= out[:, :, :-1]
-        grown[:, :, :-1] |= out[:, :, 1:]
-        out = grown
-    return out
-
-
 @dataclass(frozen=True)
 class Box:
     """Half-open 3D index box [lo, hi) in (x, y, z) coordinates."""
@@ -213,6 +198,17 @@ def _split_ranges(n: int, g: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _box_indices(grid: Grid3D, lo, hi) -> np.ndarray:
+    """Global indices of the box [lo, hi), shaped (z, y, x) so they ravel sorted."""
+    x, y, z = (np.arange(lo[d], hi[d], dtype=np.int64) for d in range(3))
+    return x + grid.nx * (y[:, None] + grid.ny * z[:, None, None])
+
+
+def _gap(first_a, last_a, first_b, last_b):
+    """Distance between the integer ranges [first_a, last_a] and [first_b, last_b]."""
+    return np.maximum(np.maximum(first_a - last_b, first_b - last_a), 0)
+
+
 @dataclass
 class BlockDecomposition:
     """Owned boxes, extended regions and neighbor topology of a block grid.
@@ -237,15 +233,7 @@ class BlockDecomposition:
     def owned_indices(self, block_id: int) -> np.ndarray:
         """Sorted global indices of the block's owned box."""
         box = self.owned[block_id]
-        nx, ny = self.grid.nx, self.grid.ny
-        ii = np.arange(box.lo[0], box.hi[0])
-        jj = np.arange(box.lo[1], box.hi[1])
-        kk = np.arange(box.lo[2], box.hi[2])
-        idx = (
-            ii[None, None, :]
-            + nx * (jj[None, :, None] + ny * kk[:, None, None])
-        )
-        return idx.ravel()
+        return _box_indices(self.grid, box.lo, box.hi).ravel()
 
     def extra_unknowns(self, block_id: int) -> int:
         """Extended-region size beyond the owned box."""
@@ -269,71 +257,72 @@ def decompose(
 
     Owned boxes partition the grid; each dimension is split into nearly
     equal contiguous ranges with the remainder given to the lowest-index
-    blocks. The extended region is the owned box dilated ``overlap`` times
-    under the stencil, which only ever grows toward neighboring blocks.
+    blocks. A block's extended region is every grid point at L1 distance at
+    most ``overlap`` from its owned box. Two blocks are neighbors when the
+    L1 distance between their owned boxes is at most 2 * overlap + 1, which
+    holds exactly when a point of one region lies in the other region or one
+    stencil step from it: then one block's rows read values the other
+    computes. Both distances are summed per axis; dilating inside the grid
+    gives the same sets because the grid is itself a box.
     """
-    gx, gy, gz = block_grid
-    nx, ny, nz = grid.nx, grid.ny, grid.nz
-    for g, n, name in ((gx, nx, "gx"), (gy, ny, "gy"), (gz, nz, "gz")):
+    for g, n, axis in zip(block_grid, grid.shape, "xyz"):
         if g < 1:
-            raise ConfigurationError(f"{name}: must be at least 1")
+            raise ConfigurationError(f"g{axis}: must be at least 1")
         if g > n:
             raise ConfigurationError(
-                f"{name}: {g} blocks exceed the {n} grid points of that dimension"
+                f"g{axis}: {g} blocks exceed the {n} grid points of that dimension"
             )
     if overlap < 0:
         raise ConfigurationError("overlap: must be non-negative")
-    ranges = {
-        "x": _split_ranges(nx, gx),
-        "y": _split_ranges(ny, gy),
-        "z": _split_ranges(nz, gz),
-    }
-    for axis, g, name in (("x", gx, "gx"), ("y", gy, "gy"), ("z", gz, "gz")):
+    ranges = [_split_ranges(n, g) for n, g in zip(grid.shape, block_grid)]
+    for axis_ranges, g, axis in zip(ranges, block_grid, "xyz"):
         if g > 1:
-            min_width = min(hi - lo for lo, hi in ranges[axis])
+            min_width = min(hi - lo for lo, hi in axis_ranges)
             if overlap >= min_width:
                 raise ConfigurationError(
                     f"overlap: {overlap} is not smaller than the narrowest "
-                    f"{axis}-range width {min_width} ({name}={g})"
+                    f"{axis}-range width {min_width} (g{axis}={g})"
                 )
 
-    owned: list[Box] = []
-    for bz in range(gz):
-        for by in range(gy):
-            for bx in range(gx):
-                lo = (ranges["x"][bx][0], ranges["y"][by][0], ranges["z"][bz][0])
-                hi = (ranges["x"][bx][1], ranges["y"][by][1], ranges["z"][bz][1])
-                owned.append(Box(lo, hi))
+    owned = [
+        Box((x0, y0, z0), (x1, y1, z1))
+        for z0, z1 in ranges[2]
+        for y0, y1 in ranges[1]
+        for x0, x1 in ranges[0]
+    ]
+    lo = np.array([box.lo for box in owned])
+    last = np.array([box.hi for box in owned]) - 1
 
-    extended_indices: list[np.ndarray] = []
-    extended_masks: list[np.ndarray] = []
-    cover = np.zeros((nz, ny, nx), dtype=np.int64)
-    for box in owned:
-        mask = np.zeros((nz, ny, nx), dtype=bool)
-        mask[
-            box.lo[2] : box.hi[2], box.lo[1] : box.hi[1], box.lo[0] : box.hi[0]
-        ] = True
-        mask = _dilate(mask, overlap)
-        extended_masks.append(mask)
-        extended_indices.append(np.nonzero(mask.ravel())[0])
-        cover += mask
+    # the region lies inside the owned box padded by the overlap and clipped
+    # to the grid; cut it from there by each point's L1 distance to the box
+    extended_indices = []
+    for first, end in zip(lo, last):
+        pad_lo = np.maximum(first - overlap, 0)
+        pad_hi = np.minimum(end + 1 + overlap, grid.shape)
+        dx, dy, dz = (
+            _gap(first[d], end[d], c, c)
+            for d, c in enumerate(map(np.arange, pad_lo, pad_hi))
+        )
+        distance = dx + dy[:, None] + dz[:, None, None]
+        extended_indices.append(_box_indices(grid, pad_lo, pad_hi)[distance <= overlap])
 
-    neighbors: list[list[int]] = [[] for _ in owned]
-    reach = [_dilate(m, 1) for m in extended_masks]
-    for a in range(len(owned)):
-        for b in range(a + 1, len(owned)):
-            if np.any(reach[a] & extended_masks[b]):
-                neighbors[a].append(b)
-                neighbors[b].append(a)
+    # one row of box distances at a time, so no P x P table is built
+    neighbors = []
+    for b in range(len(owned)):
+        distance = _gap(lo[b], last[b], lo, last).sum(axis=1)
+        near = np.flatnonzero(distance <= 2 * overlap + 1).tolist()
+        neighbors.append([n for n in near if n != b])
 
     return BlockDecomposition(
         grid=grid,
-        block_grid=(gx, gy, gz),
+        block_grid=tuple(block_grid),
         overlap=overlap,
         owned=owned,
         extended_indices=extended_indices,
         neighbors=neighbors,
-        cover_counts=cover.ravel(),
+        cover_counts=np.bincount(
+            np.concatenate(extended_indices), minlength=grid.num_unknowns
+        ),
     )
 
 

@@ -59,7 +59,9 @@ def distinct_block_matrices(shape, block_grid):
 )
 def test_traced_solve_records_every_layer(kind, inner_spans):
     calls, outer_iterations = traced_calls(kind, "sync")
-    expected = {"spmv", "block_system", "build_laplace_3d", "build_workspaces"} | inner_spans
+    expected = {
+        "spmv", "block_system", "build_laplace_3d", "decompose", "build_workspaces"
+    } | inner_spans
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"
     # one span per block solve, each seen once: inner_solvers.calls adds the two

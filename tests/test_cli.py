@@ -149,6 +149,24 @@ class TestRun:
         assert code == 1
         assert "gx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"inner_its": 0}, "inner_its: must be at least 1"),
+            ({"restart": 0}, "restart: must be at least 1"),
+            ({"inner_tol": -1}, "inner_tol: must be non-negative"),
+            ({"mode": "baseline", "max_outer": 0}, "max_outer: must be at least 1"),
+            ({"mode": "baseline", "tol": -1}, "tol: must be non-negative"),
+        ],
+    )
+    def test_solver_setting_errors_name_their_key(
+        self, tmp_path, capsys, overrides, message
+    ):
+        code = cli(tmp_path, *base_args(tmp_path, **overrides))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_bad_delay_exit_one(self, tmp_path, capsys):
         code = cli(tmp_path, *base_args(tmp_path, delay="sometimes"))
         assert code == 1
@@ -217,6 +235,7 @@ class TestSweep:
             ("mode", "sync,magic", "values: unknown mode 'magic'"),
             ("block_grid", "1,1,1;2,1", "values: block grid '2,1' is not gx,gy,gz"),
             ("overlap", "0,one", "values: invalid integer 'one'"),
+            ("inner_max_its", "2,0", "values: must be at least 1"),
         ],
     )
     def test_bad_value_fails_before_any_run(self, tmp_path, axis, values, message):

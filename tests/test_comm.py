@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -207,6 +208,31 @@ class TestAsyncExchange:
         async_pair_loop(fabric, 300)
         # FIFO clamp: delivery times never regress, so no stale discards
         assert not [e for e in fabric.events if e[0] == "discard_stale"]
+
+    def test_jitter_is_fifo_on_the_reduction_tree(self):
+        class SendLog(deque):
+            # _deliver refills a queue with extend, so append sees sends only
+            def __init__(self):
+                super().__init__()
+                self.times = []
+
+            def append(self, entry):
+                self.times.append(entry[0])
+                super().append(entry)
+
+        fabric = pair_fabric("async", DelayModel("drop_free_jitter", low=0, high=5, seed=3))
+        channels = [fabric._up, fabric._down]
+        for queues in channels:
+            for key in queues:
+                queues[key] = SendLog()
+        for k in range(200):
+            for wid in (0, 1):
+                fabric.begin_iteration(wid, k)
+                fabric.reduce_async(wid, 1.0, k)
+        for queues in channels:
+            (log,) = queues.values()
+            assert len(log.times) > 50
+            assert log.times == sorted(log.times)
 
 
 class TestReduceSync:

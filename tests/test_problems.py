@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,80 @@ class TestOverlapCounts:
             expected = enumerate_extended(grid, decomp.owned[block], overlap)
             reported = decomp.owned[block].size + decomp.extra_unknowns(block)
             assert reported == expected
+
+
+def brute_force_decomposition(grid, owned, overlap):
+    """Extended regions, cover counts and neighbor lists from single points:
+    a region is every point within L1 distance ``overlap`` of the owned box,
+    and two blocks are neighbors when a point of one region is at most one
+    stencil step from a point of the other."""
+    points = [
+        (i, j, k) for k in range(grid.nz) for j in range(grid.ny) for i in range(grid.nx)
+    ]
+    regions = [
+        [p for p in points if l1_distance_to_box(box, *p) <= overlap] for box in owned
+    ]
+    cover = np.zeros(grid.num_unknowns, dtype=np.int64)
+    for region in regions:
+        cover[[grid.index(*p) for p in region]] += 1
+    neighbors = [
+        [
+            b
+            for b, other in enumerate(regions)
+            if b != a
+            and any(sum(abs(u - v) for u, v in zip(p, q)) <= 1 for p in region for q in other)
+        ]
+        for a, region in enumerate(regions)
+    ]
+    indices = [np.array([grid.index(*p) for p in region], dtype=np.int64) for region in regions]
+    return indices, cover, neighbors
+
+
+class TestDecomposeOracle:
+    @pytest.mark.parametrize(
+        "shape,blocks,overlap",
+        [
+            ((6, 1, 1), (3, 1, 1), 1),
+            ((4, 4, 4), (2, 2, 2), 0),
+            ((6, 6, 6), (2, 3, 2), 0),
+            ((5, 4, 3), (2, 2, 1), 1),
+            ((7, 5, 6), (3, 2, 2), 1),
+            ((9, 9, 5), (3, 3, 1), 2),
+            ((3, 4, 5), (1, 2, 1), 1),
+        ],
+    )
+    def test_matches_brute_force(self, shape, blocks, overlap):
+        grid = Grid3D(*shape)
+        decomp = decompose(grid, blocks, overlap)
+        indices, cover, neighbors = brute_force_decomposition(grid, decomp.owned, overlap)
+        assert len(decomp.extended_indices) == len(indices)
+        for got, want in zip(decomp.extended_indices, indices):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert decomp.cover_counts.dtype == np.int64
+        assert np.array_equal(decomp.cover_counts, cover)
+        assert decomp.neighbors == neighbors
+
+    def test_neighbors_across_a_narrow_block(self):
+        # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
+        # reach x = 2 and x = 3, one stencil step apart
+        decomp = decompose(Grid3D(6, 1, 1), (3, 1, 1), 1)
+        assert decomp.neighbors == [[1, 2], [0, 2], [0, 1]]
+
+    def test_zero_overlap_has_face_neighbors_only(self):
+        decomp = decompose(Grid3D(4, 4, 4), (2, 2, 2), 0)
+        assert decomp.neighbors[0] == [1, 2, 4]
+        assert decomp.neighbors[7] == [3, 5, 6]
+
+    def test_peak_memory_is_bounded_by_the_regions(self):
+        # 512 blocks of 6^3 points on 48^3: a full-grid mask per block would
+        # take 512 * 110592 bytes
+        tracemalloc.start()
+        try:
+            decompose(Grid3D(48, 48, 48), (8, 8, 8), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestBlockSystem:
