@@ -288,21 +288,33 @@ def factor_direct(a: SparseMatrix, block_id: int):
     ``x0`` and counts as one iteration. The solve does not measure its
     residual: a finite x reports ``tolerance_met`` with residual 0.0, and a
     non-finite x (a singular factor or a non-finite ``b``) reports
-    ``breakdown`` with an infinite residual. The solve holds no state, so
-    blocks with equal matrices may share it. Blocks above the dense
-    oracle's cap are refused before anything is densified.
+    ``breakdown`` with an infinite residual. A non-finite ``a`` is not
+    factored: each of its solves returns NaN and reports ``breakdown``. The
+    solve holds no state, so blocks with equal matrices may share it. Blocks
+    above the dense oracle's cap are refused before anything is densified.
     """
     if a.num_rows > DENSE_ORACLE_CAP:
         raise ConfigurationError(
             f"inner: the direct solve of block {block_id} needs a dense factor of "
             f"{a.num_rows} rows, above the cap of {DENSE_ORACLE_CAP}"
         )
+    if not np.isfinite(a.values).all():
+
+        def solve_non_finite(b, x0=None) -> Solved:
+            return _exact_report(np.full(a.num_rows, np.nan))
+
+        return solve_non_finite
     lu = scipy.linalg.lu_factor(a.to_dense())
 
     def solve_factored(b, x0=None) -> Solved:
-        x = scipy.linalg.lu_solve(lu, as_vector(b, a.num_rows), check_finite=False)
-        if np.isfinite(x).all():
-            return x, InnerSolveReport(1, 0.0, "tolerance_met", [0.0])
-        return x, InnerSolveReport(1, np.inf, "breakdown", [np.inf])
+        return _exact_report(
+            scipy.linalg.lu_solve(lu, as_vector(b, a.num_rows), check_finite=False)
+        )
 
     return solve_factored
+
+
+def _exact_report(x: np.ndarray) -> Solved:
+    if np.isfinite(x).all():
+        return x, InnerSolveReport(1, 0.0, "tolerance_met", [0.0])
+    return x, InnerSolveReport(1, np.inf, "breakdown", [np.inf])

@@ -42,7 +42,7 @@ from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolverSpec, prepare
 from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
-from .problems import BlockDecomposition, LinearProblem, block_system, decompose
+from .problems import BlockDecomposition, Grid3D, LinearProblem, block_system, decompose
 
 __all__ = [
     "OuterConfig",
@@ -463,34 +463,128 @@ class _WorkerContext:
         self.gen = _block_worker(self)
 
 
-def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec) -> list:
-    """Each block's inner solver, prepared once per solve.
+# the 8 reflections of the grid axes as (flip x, flip y, flip z), identity first
+REFLECTIONS = list(itertools.product((False, True), repeat=3))
 
-    Direct solves hold nothing but their factor, so blocks whose ``a_ii``
-    is byte-equal (shape, indptr, indices and data) share one, factored at
-    the first such block in block order; that block names any error. Every
-    other kind gets one solver per block: threads run blocks concurrently,
-    and a GMRES solver keeps its basis between calls.
+
+def _region_coordinates(grid: Grid3D, ext: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(x, y, z) rows of the region's points relative to its bounding box,
+    and the box widths."""
+    coords = np.stack(np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))[::-1])
+    coords -= coords.min(axis=1, keepdims=True)
+    return coords, tuple((coords.max(axis=1) + 1).tolist())
+
+
+def _reflected_positions(coords: np.ndarray, widths: tuple, flips) -> np.ndarray:
+    """Each point's x-fastest position in the bounding box after the reflection."""
+    x, y, z = (w - 1 - c if f else c for c, w, f in zip(coords, widths, flips))
+    return x + widths[0] * (y + widths[1] * z)
+
+
+def _equal_reordered(a: SparseMatrix, b: SparseMatrix, perm: np.ndarray) -> bool:
+    """Whether ``b``, its rows and columns taken in ``perm`` order, is ``a``
+    exactly: shape, indptr, indices and data. The entries are compared as
+    sorted row-major keys with their values, which for canonical CSR says
+    the same."""
+    if a.shape != b.shape or a.nnz != b.nnz:
+        return False
+    n = a.num_rows
+    moved_to = np.empty_like(perm)
+    moved_to[perm] = np.arange(n)
+    keys = moved_to[np.repeat(np.arange(n), np.diff(b.row_offsets))] * n
+    keys += moved_to[b.col_indices]
+    order = np.argsort(keys)
+    a_keys = np.repeat(np.arange(n), np.diff(a.row_offsets)) * n + a.col_indices
+    return np.array_equal(keys[order], a_keys) and np.array_equal(b.values[order], a.values)
+
+
+def _reflected(solve, perm: np.ndarray):
+    """``solve`` for a block whose matrix, reordered by ``perm``, was factored:
+    gather the right-hand side, solve once, scatter the result back."""
+
+    def solve_reflected(b, x0=None):
+        y, report = solve(b[perm])
+        x = np.empty_like(y)
+        x[perm] = y
+        return x, report
+
+    return solve_reflected
+
+
+@dataclass
+class _Factor:
+    """A direct factor, the blocks that use it and its owner's geometry."""
+
+    group: list[int]  # block ids, the owner first
+    positions: np.ndarray  # the owner's points in its bounding box, sorted
+    a: SparseMatrix
+    solve: object
+
+
+def _shared_solver(ws: BlockWorkspace, coords, widths, factors: list[_Factor]):
+    """The solver of the first factor whose matrix is ``ws.a_ii`` under a
+    reflection, trying the identity first; the block joins its group."""
+    if not factors:
+        return None
+    for flips in REFLECTIONS:
+        positions = _reflected_positions(coords, widths, flips)
+        perm = np.argsort(positions)
+        positions = positions[perm]
+        for factor in factors:
+            if np.array_equal(positions, factor.positions) and _equal_reordered(
+                factor.a, ws.a_ii, perm
+            ):
+                factor.group.append(ws.block_id)
+                return _reflected(factor.solve, perm) if any(flips) else factor.solve
+    return None
+
+
+def _prepare_solvers(
+    workspaces: list[BlockWorkspace], spec: InnerSolverSpec, grid: Grid3D
+) -> tuple[list, list[int]]:
+    """Each block's inner solver, prepared once per solve, and the order in
+    which a synchronous sweep visits the blocks.
+
+    Direct solves hold nothing but their factor, so block b reuses the
+    factor of an earlier block a when b's ``a_ii``, reordered by one of the
+    8 reflections of the grid axes over b's extended region, equals a's
+    exactly (shape, indptr, indices and data). The identity is tried first,
+    so equal matrices share without reordering; a reflected sharer gathers
+    its right-hand side through the permutation and scatters the solution
+    back. The first block of each group factors it and names any error. The
+    sweep runs group by group, in the order of each group's first block, so
+    each factor stays in cache across its blocks.
+
+    Every other kind gets one solver per block, swept in block order:
+    threads run blocks concurrently, and a GMRES solver keeps its basis
+    between calls.
     """
     if spec.kind == "gmres" and spec.restart is None:
         # the inner stage runs one cycle of the configured length
         spec = replace(spec, restart=spec.max_iterations)
     if spec.kind != "direct":
-        return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
-    factors: dict[tuple, object] = {}  # one per distinct matrix
+        solvers = [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
+        return solvers, list(range(len(workspaces)))
+    factors: list[_Factor] = []  # in the order of their first block
+    by_widths: dict[tuple, list[_Factor]] = {}  # the candidates per box shape
     solvers = []
     for ws in workspaces:
-        a = ws.a_ii
-        key = (a.shape, *(v.tobytes() for v in (a.row_offsets, a.col_indices, a.values)))
-        if key not in factors:
-            factors[key] = prepare(spec, a, ws.block_id)
-        solvers.append(factors[key])
-    return solvers
+        coords, widths = _region_coordinates(grid, ws.ext)
+        candidates = by_widths.setdefault(widths, [])
+        solver = _shared_solver(ws, coords, widths, candidates)
+        if solver is None:
+            positions = _reflected_positions(coords, widths, REFLECTIONS[0])
+            solver = prepare(spec, ws.a_ii, ws.block_id)
+            factors.append(_Factor([ws.block_id], positions, ws.a_ii, solver))
+            candidates.append(factors[-1])
+        solvers.append(solver)
+    return solvers, [blk for factor in factors for blk in factor.group]
 
 
 def inner_solve(solver, rhs: np.ndarray, x0: np.ndarray):
     """Run a block's prepared iterative solver. Tracers and tests intercept this
-    name; direct solves bypass it and are seen at ``scipy.linalg.lu_solve``."""
+    name; direct solves bypass it and are seen at ``scipy.linalg.lu_solve``,
+    one call per block solve, mirrored sharers included."""
     return solver(rhs, x0)
 
 
@@ -759,17 +853,32 @@ class _StackedBlocks:
         """Equal-weight mean per global point; blocks add in block order."""
         return np.bincount(self.ext, z, self.cover.shape[0]) / self.cover
 
-    def solve(self, solvers, rhs: np.ndarray, z: np.ndarray, k: int, kind: str):
-        """Every block's inner solve, in block order, warm-started from z.
+    def solve(self, solvers, order, rhs: np.ndarray, z: np.ndarray, k: int, kind: str):
+        """Every block's inner solve, warm-started from z, visiting the
+        blocks in ``order`` (``_prepare_solvers`` groups blocks that share a
+        direct factor).
 
-        Returns (stacked solution, inner iterations summed over blocks); the
-        first block to break down raises its SolverBreakdownError.
+        Returns (stacked solution, inner iterations summed over blocks). The
+        lowest-numbered block that breaks down raises its
+        SolverBreakdownError: after a breakdown only lower blocks are solved.
         """
         out = np.empty(rhs.shape[0])
         inner_iterations = 0
-        for blk, (part, solver) in enumerate(zip(self.parts, solvers)):
-            out[part], report = _solve_block(solver, kind, blk, k, rhs[part], z[part])
+        failed = None
+        for blk in order:
+            if failed is not None and blk > failed.block_id:
+                continue
+            part = self.parts[blk]
+            try:
+                out[part], report = _solve_block(
+                    solvers[blk], kind, blk, k, rhs[part], z[part]
+                )
+            except SolverBreakdownError as exc:
+                failed = exc
+                continue
             inner_iterations += report.iterations_used
+        if failed is not None:
+            raise failed
         return out, inner_iterations
 
 
@@ -787,7 +896,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     no events, so the event list is empty.
     """
     stacked = _StackedBlocks.build(workspaces, decomp)
-    solvers = _prepare_solvers(workspaces, config.inner)
+    solvers, order = _prepare_solvers(workspaces, config.inner, problem.grid)
     b = problem.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -808,7 +917,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     snapshots: list[tuple[int, np.ndarray]] = []
     for k in itertools.count():
         rhs = stacked.b_ext - spmv(stacked.coupling, mean)
-        z, inner_iterations = stacked.solve(solvers, rhs, z, k, config.inner.kind)
+        z, inner_iterations = stacked.solve(solvers, order, rhs, z, k, config.inner.kind)
         mean = stacked.merge(z)
         z[stacked.shared] = mean[shared_points]
         x = z[gather]
@@ -843,7 +952,7 @@ def _run_workers(problem, decomp, workspaces, config):
         topology=decomp.neighbors,
         record_events=config.record_comm_events,
     )
-    solvers = _prepare_solvers(workspaces, config.inner)
+    solvers, _ = _prepare_solvers(workspaces, config.inner, problem.grid)
     contexts = [_WorkerContext(ws, s, fabric, config) for ws, s in zip(workspaces, solvers)]
     if config.execution == "replay":
         samples, snapshots = _run_replay(problem, workspaces, contexts, fabric, config)
@@ -924,15 +1033,16 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     stacked iteration with b = 0 and direct inner solves. With no overlap
     this is precisely M^-1 N for M the block diagonal of A; with overlap it
     is the implemented multisplitting operator whose spectral radius governs
-    convergence. Each distinct block matrix is factored once; a singular
-    block raises SolverBreakdownError.
+    convergence. Block matrices equal up to a reflection of the grid axes
+    share one factor; the lowest-numbered singular or non-finite block
+    raises SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp)
-    solvers = _prepare_solvers(workspaces, InnerSolverSpec("direct", 1))
+    solvers, order = _prepare_solvers(workspaces, InnerSolverSpec("direct", 1), problem.grid)
 
     def apply(z: np.ndarray) -> np.ndarray:
         rhs = -spmv(stacked.coupling, stacked.merge(z))
-        return stacked.solve(solvers, rhs, z, 0, "direct")[0]
+        return stacked.solve(solvers, order, rhs, z, 0, "direct")[0]
 
     return apply, int(stacked.ext.shape[0])

@@ -41,23 +41,15 @@ def traced_calls(kind, mode, shape=(4, 4, 4), block_grid=(2, 2, 2)):
     return tracer.totals()[2], result.outer_iterations
 
 
-def distinct_block_matrices(shape, block_grid):
-    """How many different dense block matrices the decomposition holds."""
-    grid = problems.Grid3D(*shape)
-    workspaces = multisplit.build_workspaces(
-        problems.build_laplace_3d(grid), problems.decompose(grid, block_grid, 1)
-    )
-    return len({ws.a_ii.to_dense().tobytes() for ws in workspaces})
-
-
 # direct solves factor and solve through scipy.linalg in
 # inner_solvers.factor_direct, so they are seen at lu_factor and lu_solve
-# instead of inner_solve
+# instead of inner_solve; blocks whose matrices are equal up to a reflection
+# of the grid axes share one factor (distinct_block_matrices: conftest.py)
 @pytest.mark.parametrize(
     "kind,inner_spans",
     [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
 )
-def test_traced_solve_records_every_layer(kind, inner_spans):
+def test_traced_solve_records_every_layer(kind, inner_spans, distinct_block_matrices):
     calls, outer_iterations = traced_calls(kind, "sync")
     expected = {
         "spmv", "block_system", "build_laplace_3d", "decompose", "build_workspaces"
@@ -69,10 +61,11 @@ def test_traced_solve_records_every_layer(kind, inner_spans):
     assert calls["inner_solve" if kind == "gmres" else "lu_solve"] == block_solves
     assert calls["inner_solve"] + calls["lu_solve"] == block_solves
     if kind == "direct":
-        assert calls["lu_factor"] == distinct_block_matrices((4, 4, 4), (2, 2, 2))
+        # the eight corner blocks of 4^3 are mirror images of one another
+        assert calls["lu_factor"] == distinct_block_matrices((4, 4, 4), (2, 2, 2)) == 1
 
 
-def test_traced_direct_solve_factors_each_distinct_block_once():
+def test_traced_direct_solve_factors_each_distinct_block_once(distinct_block_matrices):
     # along x, the two end blocks of the 12x4x4 slab are equal, and so are
     # the two middle ones
     calls, outer_iterations = traced_calls("direct", "sync", (12, 4, 4), (4, 1, 1))

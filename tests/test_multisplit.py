@@ -459,6 +459,21 @@ class TestOuterSolve:
             outer_solve(poisoned, config)
         assert (err.value.block_id, err.value.outer_iteration) == (0, 0)
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres", "direct"])
+    def test_non_finite_block_matrix_surfaces_its_breakdown(self, kind, mode):
+        # a NaN diagonal at (7, 1, 2) of the slab lies in block 2 alone; the
+        # direct kind must not hand it to LAPACK, which names no block
+        problem = slab()
+        dense = problem.matrix.to_dense()
+        row = 7 + 12 * (1 + 4 * 2)
+        dense[row, row] = np.nan
+        poisoned = LinearProblem(SparseMatrix.from_dense(dense), problem.rhs, problem.grid)
+        config = replace(SLAB_DIRECT, inner=InnerSolverSpec(kind, 5), mode=mode, max_outer=50)
+        with pytest.raises(SolverBreakdownError, match="block 2") as err:
+            outer_solve(poisoned, config)
+        assert (err.value.block_id, err.value.outer_iteration) == (2, 0)
+
     @pytest.mark.parametrize(
         "mode,execution",
         [("sync", "replay"), ("async", "replay"), ("sync", "threads"), ("async", "threads")],
@@ -617,8 +632,22 @@ SLAB_DIRECT = OuterConfig(
 )
 
 
+def factor_owners(monkeypatch):
+    """The ids of the blocks that prepare a solver of their own from now on."""
+    original = multisplit.prepare
+    owners = []
+
+    def recording(spec, a, block_id=0):
+        owners.append(block_id)
+        return original(spec, a, block_id)
+
+    monkeypatch.setattr(multisplit, "prepare", recording)
+    return owners
+
+
 class TestSharedDirectFactors:
-    """Direct blocks with byte-equal matrices share one factor."""
+    """Direct blocks whose matrices are equal up to a reflection of the grid
+    axes share one factor."""
 
     def test_equal_blocks_share_one_factor_in_every_mode(self, monkeypatch):
         factored = count_factors(monkeypatch)
@@ -637,11 +666,82 @@ class TestSharedDirectFactors:
             threads.final_true_residual, rel=1e-10
         )
 
-    def test_regular_decomposition_has_27_distinct_blocks(self, monkeypatch):
+    def test_regular_decomposition_has_8_reflection_classes(
+        self, monkeypatch, distinct_block_matrices
+    ):
+        # 27 byte-distinct blocks of 64; blocks on opposite faces are mirrors
         factored = count_factors(monkeypatch)
         problem = make_problem(24)
         iteration_operator(problem, decompose(problem.grid, (4, 4, 4), 1))
-        assert len(factored) == 27  # of 64 blocks
+        assert len(factored) == distinct_block_matrices((24, 24, 24), (4, 4, 4)) == 8
+
+    @pytest.mark.parametrize(
+        "shape,blocks",
+        [
+            # x widths 7, 7, 6, 6 on every axis: no block mirrors another
+            ((26, 26, 26), (4, 4, 4)),
+            # x widths 4, 4, 3, 3; along y and z the two blocks are mirrors
+            ((14, 8, 8), (4, 2, 2)),
+        ],
+        ids=["26^3-uneven", "14x8x8-mixed"],
+    )
+    def test_non_uniform_split_matches_the_oracle(
+        self, monkeypatch, distinct_block_matrices, shape, blocks
+    ):
+        factored = count_factors(monkeypatch)
+        problem = build_laplace_3d(Grid3D(*shape))
+        iteration_operator(problem, decompose(problem.grid, blocks, 1))
+        assert len(factored) == distinct_block_matrices(shape, blocks)
+
+    def test_reflected_solves_match_their_own_factor(self):
+        problem = make_problem(24)
+        workspaces = build_workspaces(problem, decompose(problem.grid, (4, 4, 4), 1))
+        solvers, order = multisplit._prepare_solvers(
+            workspaces, InnerSolverSpec("direct", 1), problem.grid
+        )
+        assert sorted(order) == list(range(64))
+        rng = np.random.default_rng(3)
+        for ws, solve in zip(workspaces, solvers):
+            b = rng.standard_normal(ws.n_local)
+            x, report = solve(b)
+            own = scipy.linalg.lu_solve(scipy.linalg.lu_factor(ws.a_ii.to_dense()), b)
+            assert report.stop_reason == "tolerance_met"
+            assert np.linalg.norm(x - own) <= 1e-12 * np.linalg.norm(own), ws.block_id
+
+    def test_a_changed_mirror_loses_only_its_own_sharing(self, monkeypatch):
+        # (22, 22, 22) lies in block 63 alone, the mirror of block 0
+        problem = make_problem(24)
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        owners = factor_owners(monkeypatch)
+        iteration_operator(problem, decomp)
+        assert owners == [0, 1, 4, 5, 16, 17, 20, 21]
+        row = problem.grid.index(22, 22, 22)
+        assert decomp.covering_blocks(row) == [63]
+        csr = problem.matrix.csr.copy()
+        csr[row, row] = 7.0  # the same sparsity, one value changed
+        owners.clear()
+        iteration_operator(LinearProblem(SparseMatrix(csr), problem.rhs, problem.grid), decomp)
+        assert owners == [0, 1, 4, 5, 16, 17, 20, 21, 63]
+
+    @pytest.mark.parametrize("block_3_fails_by", ["singular matrix", "NaN right-hand side"])
+    def test_lowest_failing_block_raises(self, block_3_fails_by):
+        # block 1 is singular; block 3 fails too, in another factor group.
+        # A NaN right-hand side leaves block 3 in block 0's group, which the
+        # sweep visits before block 1's
+        problem = slab()
+        dense = problem.matrix.to_dense()
+        dense[4 + 12 * (1 + 4 * 2)] = 0.0  # (4, 1, 2), in block 1 alone
+        rhs = problem.rhs.copy()
+        point = 11 + 12 * (1 + 4 * 2)  # (11, 1, 2), in block 3 alone
+        if block_3_fails_by == "singular matrix":
+            dense[point] = 0.0
+        else:
+            rhs[point] = np.nan
+        failing = LinearProblem(SparseMatrix.from_dense(dense), rhs, problem.grid)
+        singular_factor = pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero")
+        with pytest.raises(SolverBreakdownError, match="block 1") as err, singular_factor:
+            outer_solve(failing, SLAB_DIRECT)
+        assert (err.value.block_id, err.value.outer_iteration) == (1, 0)
 
     def test_a_changed_block_gets_its_own_factor(self, monkeypatch):
         problem = slab()
