@@ -285,13 +285,16 @@ def factor_direct(a: SparseMatrix, block_id: int):
     """Dense LU factor of block ``block_id``'s ``a``, computed once.
 
     Returns ``solve(b, x0) -> (x, report)``, an exact solve that ignores
-    ``x0`` and counts as one iteration. The solve does not measure its
-    residual: a finite x reports ``tolerance_met`` with residual 0.0, and a
-    non-finite x (a singular factor or a non-finite ``b``) reports
-    ``breakdown`` with an infinite residual. A non-finite ``a`` is not
-    factored: each of its solves returns NaN and reports ``breakdown``. The
-    solve holds no state, so blocks with equal matrices may share it. Blocks
-    above the dense oracle's cap are refused before anything is densified.
+    ``x0`` and counts as one iteration. ``b`` is one right-hand side of
+    shape (n,) or k of them as the columns of an (n, k) array, solved in one
+    ``scipy.linalg.lu_solve`` call; x has the shape of ``b`` and the one
+    report covers every column. The solve does not measure its residual: a
+    finite x reports ``tolerance_met`` with residual 0.0, and a non-finite x
+    (a singular factor or a non-finite ``b``) reports ``breakdown`` with an
+    infinite residual. A non-finite ``a`` is not factored: each of its
+    solves returns NaN and reports ``breakdown``. The solve holds no state,
+    so blocks with equal matrices may share it. Blocks above the dense
+    oracle's cap are refused before anything is densified.
     """
     if a.num_rows > DENSE_ORACLE_CAP:
         raise ConfigurationError(
@@ -301,14 +304,18 @@ def factor_direct(a: SparseMatrix, block_id: int):
     if not np.isfinite(a.values).all():
 
         def solve_non_finite(b, x0=None) -> Solved:
-            return _exact_report(np.full(a.num_rows, np.nan))
+            return _exact_report(np.full(np.shape(b), np.nan))
 
         return solve_non_finite
-    lu = scipy.linalg.lu_factor(a.to_dense())
+    lu, piv = scipy.linalg.lu_factor(a.to_dense())
 
     def solve_factored(b, x0=None) -> Solved:
+        # scipy's getrs shifts the pivot indices in place for the call, so
+        # solves running at once on one factor (threads) each get their own
         return _exact_report(
-            scipy.linalg.lu_solve(lu, as_vector(b, a.num_rows), check_finite=False)
+            scipy.linalg.lu_solve(
+                (lu, piv.copy()), np.asarray(b, dtype=np.float64), check_finite=False
+            )
         )
 
     return solve_factored

@@ -463,22 +463,24 @@ class _WorkerContext:
         self.gen = _block_worker(self)
 
 
-# the 8 reflections of the grid axes as (flip x, flip y, flip z), identity first
-REFLECTIONS = list(itertools.product((False, True), repeat=3))
+# the 48 symmetries of the grid axes, each an order of a (z, y, x) box's axes
+# and a reversal per axis, the identity first
+SYMMETRIES = [
+    (axes, tuple(slice(None, None, -1) if flip else slice(None) for flip in flips))
+    for axes in itertools.permutations(range(3))
+    for flips in itertools.product((False, True), repeat=3)
+]
 
 
-def _region_coordinates(grid: Grid3D, ext: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(x, y, z) rows of the region's points relative to its bounding box,
-    and the box widths."""
-    coords = np.stack(np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))[::-1])
-    coords -= coords.min(axis=1, keepdims=True)
-    return coords, tuple((coords.max(axis=1) + 1).tolist())
-
-
-def _reflected_positions(coords: np.ndarray, widths: tuple, flips) -> np.ndarray:
-    """Each point's x-fastest position in the bounding box after the reflection."""
-    x, y, z = (w - 1 - c if f else c for c, w, f in zip(coords, widths, flips))
-    return x + widths[0] * (y + widths[1] * z)
+def _region_box(grid: Grid3D, ext: np.ndarray) -> np.ndarray:
+    """The region's bounding box as a (z, y, x) array holding each point's
+    position in ``ext``, and -1 where the box holds no point of the region.
+    ``ext`` is sorted, so the positions count up in C order."""
+    coords = np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))
+    lows = [c.min() for c in coords]
+    box = np.full([int(c.max() - lo) + 1 for c, lo in zip(coords, lows)], -1)
+    box[tuple(c - lo for c, lo in zip(coords, lows))] = np.arange(ext.shape[0])
+    return box
 
 
 def _equal_reordered(a: SparseMatrix, b: SparseMatrix, perm: np.ndarray) -> bool:
@@ -498,93 +500,85 @@ def _equal_reordered(a: SparseMatrix, b: SparseMatrix, perm: np.ndarray) -> bool
     return np.array_equal(keys[order], a_keys) and np.array_equal(b.values[order], a.values)
 
 
-def _reflected(solve, perm: np.ndarray):
-    """``solve`` for a block whose matrix, reordered by ``perm``, was factored:
-    gather the right-hand side, solve once, scatter the result back."""
+@dataclass(eq=False)
+class _SharedFactor:
+    """A block's direct solve through a factor that may belong to another
+    block: ``perm`` lists the block's points in the factor's order. A call
+    gathers the right-hand side, solves once and scatters the result back;
+    the synchronous sweep gathers every block of one factor at once."""
 
-    def solve_reflected(b, x0=None):
-        y, report = solve(b[perm])
+    solve: object  # the factor's solve, in its own order
+    perm: np.ndarray
+
+    def __call__(self, b, x0=None):
+        y, report = self.solve(b[self.perm])
         x = np.empty_like(y)
-        x[perm] = y
+        x[self.perm] = y
         return x, report
-
-    return solve_reflected
 
 
 @dataclass
 class _Factor:
-    """A direct factor, the blocks that use it and its owner's geometry."""
+    """A direct factor and its owner's region and matrix."""
 
-    group: list[int]  # block ids, the owner first
-    positions: np.ndarray  # the owner's points in its bounding box, sorted
+    occupied: np.ndarray  # the owner's bounding box, True at its points
     a: SparseMatrix
     solve: object
 
 
-def _shared_solver(ws: BlockWorkspace, coords, widths, factors: list[_Factor]):
-    """The solver of the first factor whose matrix is ``ws.a_ii`` under a
-    reflection, trying the identity first; the block joins its group."""
-    if not factors:
-        return None
-    for flips in REFLECTIONS:
-        positions = _reflected_positions(coords, widths, flips)
-        perm = np.argsort(positions)
-        positions = positions[perm]
+def _shared_solver(ws: BlockWorkspace, box: np.ndarray, factors: list[_Factor]):
+    """The block's solve through the first factor whose matrix is ``ws.a_ii``
+    under a symmetry of the grid axes, trying the identity first."""
+    for axes, flips in SYMMETRIES:
+        moved = box.transpose(axes)[flips]
         for factor in factors:
-            if np.array_equal(positions, factor.positions) and _equal_reordered(
-                factor.a, ws.a_ii, perm
-            ):
-                factor.group.append(ws.block_id)
-                return _reflected(factor.solve, perm) if any(flips) else factor.solve
+            if np.array_equal(moved >= 0, factor.occupied):
+                perm = moved[factor.occupied]
+                if _equal_reordered(factor.a, ws.a_ii, perm):
+                    return _SharedFactor(factor.solve, perm)
     return None
 
 
-def _prepare_solvers(
-    workspaces: list[BlockWorkspace], spec: InnerSolverSpec, grid: Grid3D
-) -> tuple[list, list[int]]:
-    """Each block's inner solver, prepared once per solve, and the order in
-    which a synchronous sweep visits the blocks.
+def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, grid: Grid3D):
+    """Each block's inner solver, prepared once per solve.
 
     Direct solves hold nothing but their factor, so block b reuses the
     factor of an earlier block a when b's ``a_ii``, reordered by one of the
-    8 reflections of the grid axes over b's extended region, equals a's
-    exactly (shape, indptr, indices and data). The identity is tried first,
-    so equal matrices share without reordering; a reflected sharer gathers
-    its right-hand side through the permutation and scatters the solution
-    back. The first block of each group factors it and names any error. The
-    sweep runs group by group, in the order of each group's first block, so
-    each factor stays in cache across its blocks.
+    48 symmetries of the grid axes (an axis permutation times a reflection)
+    over b's extended region, equals a's exactly (shape, indptr, indices and
+    data). The identity is tried first, so equal matrices share without
+    reordering. Only a region that matches a's point for point under the
+    symmetry is compared entry by entry. Each direct solver is a
+    ``_SharedFactor``; the first block of each factor factors it and names
+    any error.
 
-    Every other kind gets one solver per block, swept in block order:
-    threads run blocks concurrently, and a GMRES solver keeps its basis
-    between calls.
+    Every other kind gets one solver per block: threads run blocks
+    concurrently, and a GMRES solver keeps its basis between calls.
     """
     if spec.kind == "gmres" and spec.restart is None:
         # the inner stage runs one cycle of the configured length
         spec = replace(spec, restart=spec.max_iterations)
     if spec.kind != "direct":
-        solvers = [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
-        return solvers, list(range(len(workspaces)))
-    factors: list[_Factor] = []  # in the order of their first block
-    by_widths: dict[tuple, list[_Factor]] = {}  # the candidates per box shape
+        return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
+    by_widths: dict[tuple, list[_Factor]] = {}  # the candidates per sorted box shape
     solvers = []
     for ws in workspaces:
-        coords, widths = _region_coordinates(grid, ws.ext)
-        candidates = by_widths.setdefault(widths, [])
-        solver = _shared_solver(ws, coords, widths, candidates)
+        box = _region_box(grid, ws.ext)
+        candidates = by_widths.setdefault(tuple(sorted(box.shape)), [])
+        solver = _shared_solver(ws, box, candidates)
         if solver is None:
-            positions = _reflected_positions(coords, widths, REFLECTIONS[0])
-            solver = prepare(spec, ws.a_ii, ws.block_id)
-            factors.append(_Factor([ws.block_id], positions, ws.a_ii, solver))
-            candidates.append(factors[-1])
+            candidates.append(_Factor(box >= 0, ws.a_ii, prepare(spec, ws.a_ii, ws.block_id)))
+            solver = _SharedFactor(candidates[-1].solve, np.arange(ws.n_local))
         solvers.append(solver)
-    return solvers, [blk for factor in factors for blk in factor.group]
+    return solvers
 
 
 def inner_solve(solver, rhs: np.ndarray, x0: np.ndarray):
-    """Run a block's prepared iterative solver. Tracers and tests intercept this
-    name; direct solves bypass it and are seen at ``scipy.linalg.lu_solve``,
-    one call per block solve, mirrored sharers included."""
+    """Run a block's prepared iterative solver. Tracers and tests intercept
+    this name; direct solves bypass it and are seen at
+    ``scipy.linalg.lu_solve``: one call per block solve in the per-block
+    workers, and one call per factor per outer iteration in synchronous
+    replay, which solves every block of a factor together."""
     return solver(rhs, x0)
 
 
@@ -803,7 +797,8 @@ def _run_threads(contexts, fabric):
 
 @dataclass
 class _StackedBlocks:
-    """Every block's extended vector stacked in block order.
+    """Every block's extended vector stacked in block order, and every
+    block's prepared inner solver.
 
     A synchronous merge gives each point the equal-weight mean over all the
     blocks covering it, whichever block tracks it, so ``merge`` computes one
@@ -817,10 +812,19 @@ class _StackedBlocks:
     coupling: SparseMatrix  # stacked rows x global columns
     b_ext: np.ndarray
     shared: np.ndarray  # stacked positions of the non-owned entries
+    kind: str
+    solvers: list  # each block's prepared solver
+    # direct: per factor, its solve and one row of stacked positions per
+    # block, listing the block's points in the factor's order
+    batches: list[tuple[object, np.ndarray]]
 
     @classmethod
     def build(
-        cls, workspaces: list[BlockWorkspace], decomp: BlockDecomposition
+        cls,
+        workspaces: list[BlockWorkspace],
+        decomp: BlockDecomposition,
+        spec: InnerSolverSpec,
+        grid: Grid3D,
     ) -> "_StackedBlocks":
         n = decomp.cover_counts.shape[0]
         offsets = np.cumsum([0] + [ws.n_local for ws in workspaces])
@@ -838,6 +842,11 @@ class _StackedBlocks:
             ],
             format="csr",
         )
+        solvers = _prepare_solvers(workspaces, spec, grid)
+        batches: dict[object, list[np.ndarray]] = {}  # in the order of first blocks
+        if spec.kind == "direct":
+            for lo, solver in zip(offsets, solvers):
+                batches.setdefault(solver.solve, []).append(lo + solver.perm)
         return cls(
             parts=[slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])],
             ext=np.concatenate([ws.ext for ws in workspaces]),
@@ -847,39 +856,40 @@ class _StackedBlocks:
             shared=np.concatenate(
                 [lo + ws.shared_local for lo, ws in zip(offsets, workspaces)]
             ),
+            kind=spec.kind,
+            solvers=solvers,
+            batches=[(solve, np.array(rows)) for solve, rows in batches.items()],
         )
 
     def merge(self, z: np.ndarray) -> np.ndarray:
         """Equal-weight mean per global point; blocks add in block order."""
         return np.bincount(self.ext, z, self.cover.shape[0]) / self.cover
 
-    def solve(self, solvers, order, rhs: np.ndarray, z: np.ndarray, k: int, kind: str):
-        """Every block's inner solve, warm-started from z, visiting the
-        blocks in ``order`` (``_prepare_solvers`` groups blocks that share a
-        direct factor).
+    def solve(self, rhs: np.ndarray, z: np.ndarray, k: int):
+        """Every block's inner solve, warm-started from z.
 
         Returns (stacked solution, inner iterations summed over blocks). The
-        lowest-numbered block that breaks down raises its
-        SolverBreakdownError: after a breakdown only lower blocks are solved.
+        direct kind makes one ``lu_solve`` per factor, the right-hand sides
+        of its blocks gathered as the columns of one array and the solutions
+        scattered back; each block counts one iteration. The other kinds
+        solve block by block. Either way the lowest-numbered block that
+        breaks down raises its SolverBreakdownError.
         """
         out = np.empty(rhs.shape[0])
-        inner_iterations = 0
-        failed = None
-        for blk in order:
-            if failed is not None and blk > failed.block_id:
-                continue
-            part = self.parts[blk]
-            try:
-                out[part], report = _solve_block(
-                    solvers[blk], kind, blk, k, rhs[part], z[part]
-                )
-            except SolverBreakdownError as exc:
-                failed = exc
-                continue
-            inner_iterations += report.iterations_used
-        if failed is not None:
-            raise failed
-        return out, inner_iterations
+        if self.kind != "direct":
+            inner_iterations = 0
+            for blk, (part, solver) in enumerate(zip(self.parts, self.solvers)):
+                out[part], report = _solve_block(solver, self.kind, blk, k, rhs[part], z[part])
+                inner_iterations += report.iterations_used
+            return out, inner_iterations
+        for solve, rows in self.batches:
+            out[rows] = solve(rhs[rows].T)[0].T
+        failed = ~np.isfinite(out)
+        if failed.any():
+            first = int(np.argmax(failed))
+            blk = next(blk for blk, part in enumerate(self.parts) if first < part.stop)
+            raise SolverBreakdownError(blk, k, "direct reported breakdown")
+        return out, len(self.parts)
 
 
 def _run_sync_replay(problem, decomp, workspaces, config):
@@ -895,8 +905,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     Returns what ``_run_workers`` returns; the synchronous fabric ops record
     no events, so the event list is empty.
     """
-    stacked = _StackedBlocks.build(workspaces, decomp)
-    solvers, order = _prepare_solvers(workspaces, config.inner, problem.grid)
+    stacked = _StackedBlocks.build(workspaces, decomp, config.inner, problem.grid)
     b = problem.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -917,7 +926,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     snapshots: list[tuple[int, np.ndarray]] = []
     for k in itertools.count():
         rhs = stacked.b_ext - spmv(stacked.coupling, mean)
-        z, inner_iterations = stacked.solve(solvers, order, rhs, z, k, config.inner.kind)
+        z, inner_iterations = stacked.solve(rhs, z, k)
         mean = stacked.merge(z)
         z[stacked.shared] = mean[shared_points]
         x = z[gather]
@@ -952,7 +961,7 @@ def _run_workers(problem, decomp, workspaces, config):
         topology=decomp.neighbors,
         record_events=config.record_comm_events,
     )
-    solvers, _ = _prepare_solvers(workspaces, config.inner, problem.grid)
+    solvers = _prepare_solvers(workspaces, config.inner, problem.grid)
     contexts = [_WorkerContext(ws, s, fabric, config) for ws, s in zip(workspaces, solvers)]
     if config.execution == "replay":
         samples, snapshots = _run_replay(problem, workspaces, contexts, fabric, config)
@@ -1033,16 +1042,16 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     stacked iteration with b = 0 and direct inner solves. With no overlap
     this is precisely M^-1 N for M the block diagonal of A; with overlap it
     is the implemented multisplitting operator whose spectral radius governs
-    convergence. Block matrices equal up to a reflection of the grid axes
-    share one factor; the lowest-numbered singular or non-finite block
-    raises SolverBreakdownError.
+    convergence. Block matrices equal up to a symmetry of the grid axes
+    share one factor, and each application makes one ``lu_solve`` per
+    factor; the lowest-numbered singular or non-finite block raises
+    SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
-    stacked = _StackedBlocks.build(workspaces, decomp)
-    solvers, order = _prepare_solvers(workspaces, InnerSolverSpec("direct", 1), problem.grid)
+    stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1), problem.grid)
 
     def apply(z: np.ndarray) -> np.ndarray:
         rhs = -spmv(stacked.coupling, stacked.merge(z))
-        return stacked.solve(solvers, order, rhs, z, 0, "direct")[0]
+        return stacked.solve(rhs, z, 0)[0]
 
     return apply, int(stacked.ext.shape[0])

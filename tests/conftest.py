@@ -6,34 +6,42 @@ import pytest
 from blocksolve import multisplit, problems
 
 
-def count_reflection_classes(shape, block_grid, overlap=1):
+def count_symmetry_classes(shape, block_grid, overlap=1):
     """How many block matrices of the decomposition differ from each other
-    under every reflection of the grid axes.
+    under every symmetry of the grid axes (an axis permutation times a
+    reflection).
 
     Brute force, sharing nothing with the library's search: each block's
-    dense matrix is taken in the 8 orders of its points sorted with some
-    axes reversed (``np.ix_``) and compared with one matrix per class found
-    so far.
+    dense matrix is taken in the 48 orders of its points sorted by the
+    permuted axes with some of them reversed (``np.ix_``) and compared with
+    one matrix per class found so far.
     """
     grid = problems.Grid3D(*shape)
     workspaces = multisplit.build_workspaces(
         problems.build_laplace_3d(grid), problems.decompose(grid, block_grid, overlap)
     )
-    classes = []
+    classes = []  # one block's matrix and nonzeros per row, per class
     for ws in workspaces:
         dense = ws.a_ii.to_dense()
+        counts = np.count_nonzero(dense, axis=1)
         z, y, x = np.unravel_index(ws.ext, (grid.nz, grid.ny, grid.nx))
         orders = (
-            np.lexsort((sx * x, sy * y, sz * z))
-            for sx, sy, sz in itertools.product((1, -1), repeat=3)
+            np.lexsort(tuple(sign * axis for sign, axis in zip(signs, axes)))
+            for axes in itertools.permutations((x, y, z))
+            for signs in itertools.product((1, -1), repeat=3)
         )
-        reordered = (dense[np.ix_(order, order)] for order in orders)
-        if not any(np.array_equal(m, seen) for m in reordered for seen in classes):
-            classes.append(dense)
+        # equal matrices have equal nonzero counts row by row: a cheap test first
+        if not any(
+            np.array_equal(counts[order], seen_counts)
+            and np.array_equal(dense[np.ix_(order, order)], seen)
+            for order in orders
+            for seen, seen_counts in classes
+        ):
+            classes.append((dense, counts))
     return len(classes)
 
 
 @pytest.fixture
 def distinct_block_matrices():
     """The brute-force count of direct factors a decomposition needs."""
-    return count_reflection_classes
+    return count_symmetry_classes

@@ -24,8 +24,8 @@ def load_tracer():
 
 
 def traced_calls(kind, mode, shape=(4, 4, 4), block_grid=(2, 2, 2)):
-    """Span counts and outer iterations of one traced replay solve, by
-    default on 4^3 with 2x2x2 blocks."""
+    """Span counts and the result of one traced replay solve, by default on
+    4^3 with 2x2x2 blocks."""
     tracer = load_tracer()()
     config = multisplit.OuterConfig(
         block_grid=block_grid,
@@ -38,39 +38,50 @@ def traced_calls(kind, mode, shape=(4, 4, 4), block_grid=(2, 2, 2)):
         grid = problems.Grid3D(*shape, problems.DirichletBoundary({"x_lo": 1.0}))
         result = multisplit.outer_solve(problems.build_laplace_3d(grid), config)
     assert result.converged
-    return tracer.totals()[2], result.outer_iterations
+    return tracer.totals()[2], result
 
 
 # direct solves factor and solve through scipy.linalg in
 # inner_solvers.factor_direct, so they are seen at lu_factor and lu_solve
-# instead of inner_solve; blocks whose matrices are equal up to a reflection
-# of the grid axes share one factor (distinct_block_matrices: conftest.py)
+# instead of inner_solve; blocks whose matrices are equal up to a symmetry
+# of the grid axes share one factor (distinct_block_matrices: conftest.py),
+# and synchronous replay solves all blocks of a factor in one lu_solve
 @pytest.mark.parametrize(
     "kind,inner_spans",
     [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
 )
 def test_traced_solve_records_every_layer(kind, inner_spans, distinct_block_matrices):
-    calls, outer_iterations = traced_calls(kind, "sync")
+    calls, result = traced_calls(kind, "sync")
     expected = {
         "spmv", "block_system", "build_laplace_3d", "decompose", "build_workspaces"
     } | inner_spans
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"
-    # one span per block solve, each seen once: inner_solvers.calls adds the two
-    block_solves = 8 * outer_iterations
-    assert calls["inner_solve" if kind == "gmres" else "lu_solve"] == block_solves
-    assert calls["inner_solve"] + calls["lu_solve"] == block_solves
-    if kind == "direct":
+    if kind == "gmres":
+        # one span per block solve, each seen once: inner_solvers.calls adds the two
+        block_solves = 8 * result.outer_iterations
+        assert calls["inner_solve"] == block_solves
+        assert calls["inner_solve"] + calls["lu_solve"] == block_solves
+    else:
         # the eight corner blocks of 4^3 are mirror images of one another
         assert calls["lu_factor"] == distinct_block_matrices((4, 4, 4), (2, 2, 2)) == 1
+        assert calls["lu_solve"] == calls["lu_factor"] * result.outer_iterations
 
 
 def test_traced_direct_solve_factors_each_distinct_block_once(distinct_block_matrices):
     # along x, the two end blocks of the 12x4x4 slab are equal, and so are
     # the two middle ones
-    calls, outer_iterations = traced_calls("direct", "sync", (12, 4, 4), (4, 1, 1))
+    calls, result = traced_calls("direct", "sync", (12, 4, 4), (4, 1, 1))
     assert calls["lu_factor"] == distinct_block_matrices((12, 4, 4), (4, 1, 1)) == 2
-    assert calls["lu_solve"] == 4 * outer_iterations
+    assert calls["lu_solve"] == calls["lu_factor"] * result.outer_iterations
+
+
+def test_traced_async_direct_solve_makes_one_lu_solve_per_block_solve():
+    # the per-block workers solve each block through its shared factor alone
+    calls, result = traced_calls("direct", "async")
+    assert calls["lu_factor"] == 1
+    assert calls["lu_solve"] == sum(row.inner_iterations for row in result.trace.rows)
+    assert calls["inner_solve"] == 0
 
 
 def test_traced_async_solve_records_the_per_block_layers():

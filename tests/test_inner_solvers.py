@@ -1,4 +1,5 @@
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -307,6 +308,43 @@ class TestCommonBehavior:
         # the exact solve does not measure its residual
         assert calls == []
         assert report == InnerSolveReport(1, 0.0, "tolerance_met", [0.0])
+
+    def test_direct_solve_takes_columns(self):
+        problem = laplace_4cubed()
+        solver = prepare(InnerSolverSpec("direct", 1), problem.matrix)
+        columns = np.random.default_rng(2).standard_normal((64, 3))
+        x, report = solver(columns)
+        assert x.shape == (64, 3) and report.stop_reason == "tolerance_met"
+        for j in range(3):
+            assert np.abs(x[:, j] - solver(columns[:, j])[0]).max() <= 1e-12
+        columns[5, 1] = np.nan
+        assert solver(columns)[1].stop_reason == "breakdown"
+
+    def test_direct_solves_at_once_on_one_factor(self):
+        # scipy's getrs shifts the pivot indices in place for each call;
+        # threads solving through one shared factor must not see the shift
+        rng = np.random.default_rng(5)
+        n = 200
+        solver = prepare(
+            InnerSolverSpec("direct", 1),
+            SparseMatrix.from_dense(rng.standard_normal((n, n)) + n * np.eye(n)),
+        )
+        rhs = [rng.standard_normal(n) for _ in range(6)]
+        wanted = [solver(b)[0] for b in rhs]
+        wrong = []
+
+        def solve_repeatedly(b, x):
+            for _ in range(300):
+                if not np.array_equal(solver(b)[0], x):
+                    wrong.append(b)
+
+        threads = [threading.Thread(target=solve_repeatedly, args=bx) for bx in zip(rhs, wanted)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
     def test_direct_refuses_matrix_over_dense_cap(self, monkeypatch):
         # the 21x21x19 system has 8379 rows, over the 8192-row dense cap

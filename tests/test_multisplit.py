@@ -645,9 +645,30 @@ def factor_owners(monkeypatch):
     return owners
 
 
+def count_lu_solves(monkeypatch):
+    """The column counts of every ``scipy.linalg.lu_solve`` call from now on."""
+    original = scipy.linalg.lu_solve
+    solved = []
+
+    def counting(lu_and_piv, b, *args, **kwargs):
+        solved.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return original(lu_and_piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+    return solved
+
+
+def direct_stacked(problem, blocks):
+    """The stacked blocks of a direct synchronous solve, overlap 1."""
+    decomp = decompose(problem.grid, blocks, 1)
+    workspaces = build_workspaces(problem, decomp)
+    spec = InnerSolverSpec("direct", 1)
+    return workspaces, multisplit._StackedBlocks.build(workspaces, decomp, spec, problem.grid)
+
+
 class TestSharedDirectFactors:
-    """Direct blocks whose matrices are equal up to a reflection of the grid
-    axes share one factor."""
+    """Direct blocks whose matrices are equal up to a symmetry of the grid
+    axes (an axis permutation times a reflection) share one factor."""
 
     def test_equal_blocks_share_one_factor_in_every_mode(self, monkeypatch):
         factored = count_factors(monkeypatch)
@@ -666,19 +687,21 @@ class TestSharedDirectFactors:
             threads.final_true_residual, rel=1e-10
         )
 
-    def test_regular_decomposition_has_8_reflection_classes(
+    def test_regular_decomposition_has_4_symmetry_classes(
         self, monkeypatch, distinct_block_matrices
     ):
-        # 27 byte-distinct blocks of 64; blocks on opposite faces are mirrors
+        # 27 byte-distinct blocks of 64; a block's class is the number of
+        # axes along which it is an interior block: 8, 24, 24 and 8 blocks
         factored = count_factors(monkeypatch)
         problem = make_problem(24)
         iteration_operator(problem, decompose(problem.grid, (4, 4, 4), 1))
-        assert len(factored) == distinct_block_matrices((24, 24, 24), (4, 4, 4)) == 8
+        assert len(factored) == distinct_block_matrices((24, 24, 24), (4, 4, 4)) == 4
 
     @pytest.mark.parametrize(
         "shape,blocks",
         [
-            # x widths 7, 7, 6, 6 on every axis: no block mirrors another
+            # owned widths 7, 7, 6, 6 on every axis: no block mirrors
+            # another, but permuted axes match 20 classes of 64 blocks
             ((26, 26, 26), (4, 4, 4)),
             # x widths 4, 4, 3, 3; along y and z the two blocks are mirrors
             ((14, 8, 8), (4, 2, 2)),
@@ -696,10 +719,9 @@ class TestSharedDirectFactors:
     def test_reflected_solves_match_their_own_factor(self):
         problem = make_problem(24)
         workspaces = build_workspaces(problem, decompose(problem.grid, (4, 4, 4), 1))
-        solvers, order = multisplit._prepare_solvers(
+        solvers = multisplit._prepare_solvers(
             workspaces, InnerSolverSpec("direct", 1), problem.grid
         )
-        assert sorted(order) == list(range(64))
         rng = np.random.default_rng(3)
         for ws, solve in zip(workspaces, solvers):
             b = rng.standard_normal(ws.n_local)
@@ -714,20 +736,22 @@ class TestSharedDirectFactors:
         decomp = decompose(problem.grid, (4, 4, 4), 1)
         owners = factor_owners(monkeypatch)
         iteration_operator(problem, decomp)
-        assert owners == [0, 1, 4, 5, 16, 17, 20, 21]
+        assert owners == [0, 1, 5, 21]
         row = problem.grid.index(22, 22, 22)
         assert decomp.covering_blocks(row) == [63]
         csr = problem.matrix.csr.copy()
         csr[row, row] = 7.0  # the same sparsity, one value changed
         owners.clear()
         iteration_operator(LinearProblem(SparseMatrix(csr), problem.rhs, problem.grid), decomp)
-        assert owners == [0, 1, 4, 5, 16, 17, 20, 21, 63]
+        assert owners == [0, 1, 5, 21, 63]
 
-    @pytest.mark.parametrize("block_3_fails_by", ["singular matrix", "NaN right-hand side"])
+    @pytest.mark.parametrize(
+        "block_3_fails_by", ["singular matrix", "NaN right-hand side", "non-finite matrix"]
+    )
     def test_lowest_failing_block_raises(self, block_3_fails_by):
         # block 1 is singular; block 3 fails too, in another factor group.
         # A NaN right-hand side leaves block 3 in block 0's group, which the
-        # sweep visits before block 1's
+        # sweep solves before block 1's
         problem = slab()
         dense = problem.matrix.to_dense()
         dense[4 + 12 * (1 + 4 * 2)] = 0.0  # (4, 1, 2), in block 1 alone
@@ -735,6 +759,8 @@ class TestSharedDirectFactors:
         point = 11 + 12 * (1 + 4 * 2)  # (11, 1, 2), in block 3 alone
         if block_3_fails_by == "singular matrix":
             dense[point] = 0.0
+        elif block_3_fails_by == "non-finite matrix":
+            dense[point, point] = np.inf
         else:
             rhs[point] = np.nan
         failing = LinearProblem(SparseMatrix.from_dense(dense), rhs, problem.grid)
@@ -766,6 +792,73 @@ class TestSharedDirectFactors:
             outer_solve(singular, SLAB_DIRECT)
         assert (err.value.block_id, err.value.outer_iteration) == (2, 0)
         assert factored == [64, 80, 80]
+
+
+class TestBatchedDirectSweep:
+    """Synchronous replay solves the blocks of one direct factor together:
+    their right-hand sides are the columns of one ``lu_solve``."""
+
+    # on 12x12x6 with 3x3x1 blocks the edge blocks along x are the edge
+    # blocks along y with x and y swapped: 3 factors serve the 9 blocks,
+    # where reflections alone need 4
+    GRID, BLOCKS = (12, 12, 6), (3, 3, 1)
+    CONFIG = OuterConfig(
+        block_grid=BLOCKS, overlap=1, inner=InnerSolverSpec("direct", 1), tol=1e-6
+    )
+
+    def problem(self):
+        return build_laplace_3d(Grid3D(*self.GRID, DirichletBoundary({"x_lo": 1.0})))
+
+    def test_transposed_blocks_share_a_factor(self, monkeypatch, distinct_block_matrices):
+        factored = count_factors(monkeypatch)
+        direct_stacked(self.problem(), self.BLOCKS)
+        assert len(factored) == distinct_block_matrices(self.GRID, self.BLOCKS) == 3
+
+    def test_every_column_matches_its_own_factor(self):
+        workspaces, stacked = direct_stacked(self.problem(), self.BLOCKS)
+        # the corners, the edges and the center
+        assert [len(rows) for _, rows in stacked.batches] == [4, 4, 1]
+        rhs = np.random.default_rng(4).standard_normal(stacked.ext.shape[0])
+        out, inner_iterations = stacked.solve(rhs, np.zeros_like(rhs), 0)
+        assert inner_iterations == 9
+        for ws, part in zip(workspaces, stacked.parts):
+            own = scipy.linalg.lu_solve(scipy.linalg.lu_factor(ws.a_ii.to_dense()), rhs[part])
+            assert np.linalg.norm(out[part] - own) <= 1e-12 * np.linalg.norm(own), ws.block_id
+
+    def test_sync_threads_matches_replay(self):
+        replay, threads = (
+            outer_solve(self.problem(), replace(self.CONFIG, execution=execution))
+            for execution in ("replay", "threads")
+        )
+        assert replay.converged and threads.converged
+        assert replay.outer_iterations == threads.outer_iterations
+        for a, b in zip(replay.trace.rows, threads.trace.rows):
+            assert a.inner_iterations == b.inner_iterations == 9
+            assert a.estimated_residual == pytest.approx(b.estimated_residual, rel=1e-10)
+        assert replay.final_true_residual == pytest.approx(
+            threads.final_true_residual, rel=1e-10
+        )
+
+    def test_one_lu_solve_per_factor_per_outer_iteration(self, monkeypatch):
+        solved = count_lu_solves(monkeypatch)
+        result = outer_solve(self.problem(), self.CONFIG)
+        assert result.converged
+        assert len(solved) == 3 * result.outer_iterations
+        assert sum(solved) == 9 * result.outer_iterations
+
+    @pytest.mark.parametrize("failing,expected", [((63, 2), 2), ((21, 6), 6), ((40, 5), 5)])
+    def test_lowest_failing_column_raises_across_groups(self, failing, expected):
+        # on 24^3 with 4x4x4 blocks the groups of blocks 0 (the corners), 1
+        # and 5 (24 blocks each) and 21 (the 8 interior blocks) are solved in
+        # that order; a NaN right-hand side fails only its own column
+        _, stacked = direct_stacked(make_problem(24), (4, 4, 4))
+        assert [len(rows) for _, rows in stacked.batches] == [8, 24, 24, 8]
+        rhs = np.ones(stacked.ext.shape[0])
+        for blk in failing:
+            rhs[stacked.parts[blk].start + 17] = np.nan
+        with pytest.raises(SolverBreakdownError) as err:
+            stacked.solve(rhs, np.zeros_like(rhs), 3)
+        assert (err.value.block_id, err.value.outer_iteration) == (expected, 3)
 
 
 class TestFixedPoint:
