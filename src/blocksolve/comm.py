@@ -418,9 +418,6 @@ class Fabric:
                     self._event("send", block_id, nbr, k, deliver_at)
                 else:
                     self._event("send_skipped", block_id, nbr, k)
-                self._event(
-                    "pool", block_id, nbr, len(out_pool.in_flight), out_pool.free_slots
-                )
 
                 in_pool = self._pools[(nbr, block_id)]
                 taken = _deliver(

@@ -118,17 +118,20 @@ class OuterConfig:
 
 @dataclass
 class BlockState:
-    """Mutable per-worker solve state."""
+    """Mutable per-worker solve state.
+
+    ``values`` is the workspace's merge value sequence: each source block's
+    latest values at the points this block tracks, one segment per source in
+    ascending block id. The block's own inner-solve values at its shared
+    points fill its own segment.
+    """
 
     block_id: int
     x_local: np.ndarray  # over the extended region
     halo_values: np.ndarray  # merged values at the coupled external columns
-    payload_cache: dict[int, np.ndarray]  # latest payload per neighbor
-    payload_seq: dict[int, int]  # its outer iteration (-1 = initial guess)
-    own_shared: np.ndarray  # this block's latest inner-solve values at shared points
+    values: np.ndarray  # merge value sequence, by source block
+    applied: np.ndarray  # outer iteration of each segment (-1 = initial guess)
     owner_values: np.ndarray  # owning block's latest value per tracked point
-    k: int = 0
-    local_residual: float = math.inf
 
 
 @dataclass
@@ -137,11 +140,12 @@ class BlockWorkspace:
 
     The block tracks the points it needs from other blocks in one ordering:
     its halo columns first, then its shared points (the non-owned part of
-    the extended region). The merge reads one value sequence: the block's
-    own values at its shared points, then each neighbor's payload in
-    ``neighbors`` order. ``merge_slots`` gives the tracked slot of every
-    value in that sequence and ``owner_pick`` the position, per tracked
-    point, of the value sent by the point's owning block.
+    the extended region). The merge reads one value sequence with a segment
+    per source block, in ascending block id: a neighbor's segment is its
+    payload, and the block's own segment, at its own place among them, is
+    its values at its shared points. ``merge_slots`` gives the tracked slot
+    of every value in that sequence and ``owner_pick`` the position, per
+    tracked point, of the value sent by the point's owning block.
     """
 
     block_id: int
@@ -158,7 +162,8 @@ class BlockWorkspace:
     cover: np.ndarray  # covering-block counts per tracked point
     neighbors: list[int]
     send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
-    payload_len: dict[int, int]
+    sources: list[int]  # this block and its neighbors, in ascending id
+    segments: list[slice]  # each source's part of the merge value sequence
     merge_slots: np.ndarray  # tracked slot of each merged value
     owner_pick: np.ndarray  # merged-value position of each tracked point's owner
 
@@ -181,11 +186,8 @@ class BlockWorkspace:
             block_id=self.block_id,
             x_local=np.zeros(self.n_local),
             halo_values=np.zeros(self.halo_cols.shape[0]),
-            payload_cache={
-                nbr: np.zeros(self.payload_len[nbr]) for nbr in self.neighbors
-            },
-            payload_seq={nbr: -1 for nbr in self.neighbors},
-            own_shared=np.zeros(self.shared_local.shape[0]),
+            values=np.zeros(self.merge_slots.shape[0]),
+            applied=np.full(len(self.sources), -1),
             owner_values=np.zeros(self.cover.shape[0]),
         )
 
@@ -237,25 +239,27 @@ def build_workspaces(
         slot_of = np.argsort(tracked)
         points = tracked[slot_of]
         neighbors = list(decomp.neighbors[blk])
-        slots = [np.arange(n_halo, tracked.shape[0])]
-        payload_len: dict[int, int] = {}
-        for nbr in neighbors:
-            nbr_ext = exts[nbr]
-            pos = np.minimum(np.searchsorted(nbr_ext, points), nbr_ext.shape[0] - 1)
-            shipped = np.flatnonzero(nbr_ext[pos] == points)
-            send_idx[nbr][blk] = pos[shipped]
+        sources = sorted([blk, *neighbors])
+        slots = []
+        for src in sources:
+            if src == blk:
+                slots.append(np.arange(n_halo, tracked.shape[0]))
+                continue
+            src_ext = exts[src]
+            pos = np.minimum(np.searchsorted(src_ext, points), src_ext.shape[0] - 1)
+            shipped = np.flatnonzero(src_ext[pos] == points)
+            send_idx[src][blk] = pos[shipped]
             slots.append(slot_of[shipped])
-            payload_len[nbr] = int(shipped.shape[0])
+        bounds = np.cumsum([0] + [len(s) for s in slots]).tolist()
         merge_slots = np.concatenate(slots)
         coverage = np.bincount(merge_slots, minlength=cover.shape[0])
         if not np.array_equal(coverage, cover):
             raise ProtocolError(
                 f"block {blk}: payload coverage does not match the covering-block counts"
             )
-        sources = np.repeat(
-            [blk, *neighbors], [shared_local.shape[0], *payload_len.values()]
+        from_owner = np.flatnonzero(
+            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
         )
-        from_owner = np.flatnonzero(owner_of[tracked[merge_slots]] == sources)
         owner_slots = merge_slots[from_owner]
         if not np.array_equal(np.sort(owner_slots), np.arange(tracked.shape[0])):
             raise ProtocolError(
@@ -278,7 +282,8 @@ def build_workspaces(
                 cover=cover,
                 neighbors=neighbors,
                 send_idx=send_idx[blk],
-                payload_len=payload_len,
+                sources=sources,
+                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
                 merge_slots=merge_slots,
                 owner_pick=from_owner[np.argsort(owner_slots)],
             )
@@ -295,7 +300,7 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
 
 
 def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
-    """Merge cached neighbor contributions into halo and overlap values.
+    """Merge the stored source values into halo and overlap values.
 
     Every non-owned point the block tracks gets the equal-weight average of
     the latest contribution from each covering block; the block's own fresh
@@ -303,16 +308,14 @@ def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     modified. The owner-canonical values (each point as reported by its
     owning block) are refreshed alongside for residual evaluation.
     ``bincount`` sums each slot's values in sequence order, so every point
-    adds the block's own value first and then its neighbors' in order.
+    adds its covering blocks' values in block order, as
+    ``_StackedBlocks.merge`` does.
     """
-    values = np.concatenate(
-        [state.own_shared, *(state.payload_cache[nbr] for nbr in ws.neighbors)]
-    )
-    mean = np.bincount(ws.merge_slots, values, ws.cover.shape[0]) / ws.cover
+    mean = np.bincount(ws.merge_slots, state.values, ws.cover.shape[0]) / ws.cover
     n_halo = ws.halo_cols.shape[0]
     state.halo_values = mean[:n_halo]
     state.x_local[ws.shared_local] = mean[n_halo:]
-    state.owner_values = values[ws.owner_pick]
+    state.owner_values = state.values[ws.owner_pick]
 
 
 def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
@@ -441,15 +444,6 @@ class SolveResult:
     comm_events: list[tuple] = field(default_factory=list)
 
 
-@dataclass
-class _IterationRecord:
-    k: int
-    time: float
-    estimate: float
-    inner_iterations: int
-    max_staleness: int
-
-
 class _WorkerContext:
     def __init__(self, workspace: BlockWorkspace, solver, fabric: Fabric, config: OuterConfig):
         self.workspace = workspace
@@ -457,7 +451,7 @@ class _WorkerContext:
         self.fabric = fabric
         self.config = config
         self.state = workspace.initial_state()
-        self.records: list[_IterationRecord] = []
+        self.records: list[TraceRow] = []
         self.converged = False
         self.t0 = 0.0
         self.gen = _block_worker(self)
@@ -591,14 +585,14 @@ def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
 
 
 def _apply_incoming(ws: BlockWorkspace, state: BlockState, incoming) -> float:
-    """Take the received halo payloads, merge the overlap and return the
-    block's new local relative residual."""
-    for nbr, message in incoming.items():
-        state.payload_cache[nbr] = message.payload
-        state.payload_seq[nbr] = message.outer_iteration
+    """Store the received halo payloads in their sources' segments, merge
+    the overlap and return the block's new local relative residual."""
+    for i, src in enumerate(ws.sources):
+        if src in incoming:
+            state.values[ws.segments[i]] = incoming[src].payload
+            state.applied[i] = incoming[src].outer_iteration
     merge_overlap(ws, state)
-    state.local_residual = local_relative_residual(ws, state)
-    return state.local_residual
+    return local_relative_residual(ws, state)
 
 
 def _block_worker(ctx: _WorkerContext):
@@ -609,6 +603,7 @@ def _block_worker(ctx: _WorkerContext):
     cfg = ctx.config
     state = ctx.state
     replay = cfg.execution == "replay"
+    own = ws.sources.index(ws.block_id)
     k = 0
     while True:
         if fabric.stop_requested():
@@ -622,7 +617,8 @@ def _block_worker(ctx: _WorkerContext):
             ctx.solver, cfg.inner.kind, ws.block_id, k, rhs, state.x_local
         )
         state.x_local = x_new
-        state.own_shared = x_new[ws.shared_local].copy()
+        state.values[ws.segments[own]] = x_new[ws.shared_local]
+        state.applied[own] = k
 
         outgoing = {nbr: x_new[ws.send_idx[nbr]] for nbr in ws.neighbors}
         if cfg.mode == "sync":
@@ -640,13 +636,10 @@ def _block_worker(ctx: _WorkerContext):
             total, _ = fabric.reduce_async(ws.block_id, r_local**2, k)
             estimate = math.sqrt(total) if math.isfinite(total) else math.inf
 
-        staleness = 0
-        for nbr in ws.neighbors:
-            staleness = max(staleness, k - state.payload_seq[nbr])
         now = float(k) if replay else time.perf_counter() - ctx.t0
-        ctx.records.append(
-            _IterationRecord(k, now, estimate, report.iterations_used, staleness)
-        )
+        # the own segment is from k, so this is the stalest neighbor's lag
+        staleness = k - int(state.applied.min())
+        ctx.records.append(TraceRow(k, now, estimate, None, report.iterations_used, staleness))
 
         done = False
         decision = check_termination(estimate, cfg.tol, k + 1, cfg.max_outer, cfg.mode)
@@ -674,7 +667,6 @@ def _block_worker(ctx: _WorkerContext):
                 ctx.converged = False
                 done = True
 
-        state.k = k + 1
         yield ("iter", k)
         if done:
             return
@@ -921,8 +913,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
 
     z = np.zeros(stacked.ext.shape[0])
     mean = np.zeros(b.shape[0])
-    records: list[_IterationRecord] = []
-    samples: dict[int, float] = {}
+    rows: list[TraceRow] = []
     snapshots: list[tuple[int, np.ndarray]] = []
     for k in itertools.count():
         rhs = stacked.b_ext - spmv(stacked.coupling, mean)
@@ -933,25 +924,26 @@ def _run_sync_replay(problem, decomp, workspaces, config):
         r = b - spmv(problem.matrix, x)
         residues = np.sqrt(np.bincount(owner, r * r, len(workspaces))) / scale
         estimate = math.sqrt(sum((residues**2).tolist()))
-        records.append(_IterationRecord(k, float(k), estimate, inner_iterations, 0))
+        sample = None
         if true_mode or k % config.true_residual_interval == 0:
-            samples[k] = float(np.linalg.norm(r)) / b_norm
+            sample = float(np.linalg.norm(r)) / b_norm
+        rows.append(TraceRow(k, float(k), estimate, sample, inner_iterations, 0))
         if config.capture_iterates:
             snapshots.append((k, x))
         if check_termination(estimate, config.tol, k + 1, config.max_outer, "sync") == "stop":
             converged = estimate < config.tol
             break
-        if true_mode and samples[k] < config.tol:
+        if true_mode and sample < config.tol:
             converged = True
             break
-    return x, records, converged, samples, snapshots, []
+    return x, rows, converged, snapshots, []
 
 
 def _run_workers(problem, decomp, workspaces, config):
     """Asynchronous replay and threaded execution: one generator per block.
 
-    Returns (solution, records, converged, samples, snapshots, events) with
-    one record per outer iteration, combined over the blocks that ran it.
+    Returns (solution, rows, converged, snapshots, events) with one trace
+    row per outer iteration, combined over the blocks that ran it.
     """
     fabric = create_fabric(
         num_workers=decomp.num_blocks,
@@ -969,24 +961,24 @@ def _run_workers(problem, decomp, workspaces, config):
         _run_threads(contexts, fabric)
         samples, snapshots = {}, []
 
-    records = []
+    rows = []
     for k in range(max(len(ctx.records) for ctx in contexts)):
         at_k = [ctx.records[k] for ctx in contexts if k < len(ctx.records)]
         first = contexts[0].records[k] if k < len(contexts[0].records) else at_k[0]
-        records.append(
-            _IterationRecord(
+        rows.append(
+            TraceRow(
                 k,
-                max(rec.time for rec in at_k),
-                first.estimate,
-                sum(rec.inner_iterations for rec in at_k),
-                max(rec.max_staleness for rec in at_k),
+                max(row.time for row in at_k),
+                first.estimated_residual,
+                samples.get(k),
+                sum(row.inner_iterations for row in at_k),
+                max(row.max_halo_staleness for row in at_k),
             )
         )
     return (
         _gather_solution(problem, workspaces, contexts),
-        records,
+        rows,
         all(ctx.converged for ctx in contexts),
-        samples,
         snapshots,
         list(fabric.events),
     )
@@ -1005,30 +997,16 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
         run = _run_sync_replay
     else:
         run = _run_workers
-    solution, records, converged, samples, snapshots, events = run(
-        problem, decomp, workspaces, config
-    )
+    solution, rows, converged, snapshots, events = run(problem, decomp, workspaces, config)
 
     final_true = true_relative_residual(problem, solution)
-    outer_iterations = len(records)
-    if outer_iterations and (outer_iterations - 1) not in samples:
-        samples[outer_iterations - 1] = final_true
-    rows = [
-        TraceRow(
-            outer_iteration=rec.k,
-            time=rec.time,
-            estimated_residual=rec.estimate,
-            true_residual=samples.get(rec.k),
-            inner_iterations=rec.inner_iterations,
-            max_halo_staleness=rec.max_staleness,
-        )
-        for rec in records
-    ]
+    if rows and rows[-1].true_residual is None:
+        rows[-1].true_residual = final_true
     return SolveResult(
         solution=solution,
         trace=ResidualTrace(rows),
         converged=converged,
-        outer_iterations=outer_iterations,
+        outer_iterations=len(rows),
         final_true_residual=final_true,
         snapshots=snapshots,
         comm_events=events,

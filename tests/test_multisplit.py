@@ -46,15 +46,23 @@ def dense_solution(problem):
     return dense_solve(problem.matrix.to_dense(), problem.rhs)
 
 
+def store_segment(ws, state, source, values):
+    """Store ``values`` as block ``source``'s segment of the merge values,
+    applied at iteration 0: its payload to ``ws``, or ``ws``'s own values
+    at its shared points."""
+    i = ws.sources.index(source)
+    state.values[ws.segments[i]] = values
+    state.applied[i] = 0
+
+
 def seed_state_with(workspaces, states, x_global):
-    """Point every cache at the values of a given global vector."""
+    """Point every block's merge values at a given global vector."""
     for ws, state in zip(workspaces, states):
         state.x_local = x_global[ws.ext].copy()
-        state.own_shared = state.x_local[ws.shared_local].copy()
+        store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
         for nbr in ws.neighbors:
             sender = workspaces[nbr]
-            state.payload_cache[nbr] = x_global[sender.ext][sender.send_idx[ws.block_id]]
-            state.payload_seq[nbr] = 0
+            store_segment(ws, state, nbr, x_global[sender.ext][sender.send_idx[ws.block_id]])
         merge_overlap(ws, state)
 
 
@@ -135,7 +143,7 @@ class TestMergeOverlap:
         ws = build_workspaces(problem, decomp)[0]
         state = ws.initial_state()
         state.x_local = np.arange(float(ws.n_local))
-        state.own_shared = state.x_local[ws.shared_local].copy()
+        store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
         before = state.x_local.copy()
         merge_overlap(ws, state)
         assert np.array_equal(state.x_local, before)
@@ -148,11 +156,9 @@ class TestMergeOverlap:
         state = ws.initial_state()
         # extended region {0,1,2}; point 2 is shared with (owned by) block 1
         state.x_local = np.array([0.0, 0.0, 4.0])
-        state.own_shared = state.x_local[ws.shared_local].copy()
-        payload = np.zeros(ws.payload_len[1])
+        store_segment(ws, state, 0, state.x_local[ws.shared_local])
         sender_points = workspaces[1].ext[workspaces[1].send_idx[0]]
-        payload[sender_points == 2] = 10.0
-        state.payload_cache[1] = payload
+        store_segment(ws, state, 1, np.where(sender_points == 2, 10.0, 0.0))
         merge_overlap(ws, state)
         shared_value = state.x_local[ws.shared_local][0]
         assert shared_value == pytest.approx((4.0 + 10.0) / 2)
@@ -185,10 +191,10 @@ class TestMergeOverlap:
         for ws in workspaces:
             state = ws.initial_state()
             state.x_local = values[ws.block_id][ws.ext].copy()
-            state.own_shared = state.x_local[ws.shared_local].copy()
+            store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
             for nbr in ws.neighbors:
                 sender = workspaces[nbr]
-                state.payload_cache[nbr] = values[nbr][sender.ext[sender.send_idx[ws.block_id]]]
+                store_segment(ws, state, nbr, values[nbr][sender.ext[sender.send_idx[ws.block_id]]])
             merge_overlap(ws, state)
 
             owned = decomp.owned_indices(ws.block_id)
@@ -206,6 +212,34 @@ class TestMergeOverlap:
             tracked = np.concatenate((ws.halo_cols, shared))
             assert np.array_equal(state.owner_values, values[owner[tracked], tracked])
             assert np.array_equal(state.x_local[ws.owned_local], values[ws.block_id][owned])
+
+    def test_sums_in_block_order_like_the_stacked_merge(self):
+        # 9x1x1 in 3 slabs with overlap 2: point 4 is owned by block 1 and
+        # covered by all three blocks, and block 2 tracks it
+        problem = build_laplace_3d(Grid3D(9, 1, 1))
+        decomp = decompose(problem.grid, (3, 1, 1), overlap=2)
+        assert decomp.cover_counts[4] == 3
+        workspaces = build_workspaces(problem, decomp)
+        ws = workspaces[2]
+        assert 4 in ws.ext[ws.shared_local]
+        # block c reports values[c] at point 4; their float sum depends on
+        # the order: 1e16 + 1 + -1e16 is 0, -1e16 + 1e16 + 1 is 1
+        values = np.zeros((3, 9))
+        values[:, 4] = [1e16, 1.0, -1e16]
+        state = ws.initial_state()
+        state.x_local = values[2][ws.ext].copy()
+        store_segment(ws, state, 2, state.x_local[ws.shared_local])
+        for nbr in ws.neighbors:
+            sender = workspaces[nbr]
+            store_segment(ws, state, nbr, values[nbr][sender.ext[sender.send_idx[2]]])
+        merge_overlap(ws, state)
+
+        stacked = multisplit._StackedBlocks.build(
+            workspaces, decomp, InnerSolverSpec("jacobi", 1), problem.grid
+        )
+        mean = stacked.merge(np.concatenate([values[c][w.ext] for c, w in enumerate(workspaces)]))
+        assert mean[4] == 0.0
+        assert state.x_local[np.searchsorted(ws.ext, 4)] == mean[4]
 
 
 class TestResidualCombination:
@@ -557,17 +591,33 @@ class TestOuterSolve:
 
 class TestFusedSyncReplay:
     """Synchronous replay runs as one stacked iteration; sync threads runs
-    the per-block workers through the fabric. Both compute the same iterates."""
+    the per-block workers through the fabric. Both merge a point by adding
+    its covering blocks' values in block order, so with iterative inner
+    solves they compute the same iterates bit for bit. The direct kind
+    agrees within rounding: replay solves the blocks of one factor as the
+    columns of one ``lu_solve``, which rounds differently from one-column
+    solves (3.3e-16 apart on the 12x12x6 case)."""
 
-    @pytest.mark.parametrize("overlap", [0, 1])
+    # (grid, block grid, overlap) by id; on 12x12x6 in 3x3x1 blocks a point
+    # is covered by up to four blocks, and with fixed-step Krylov inner
+    # solves a different summation order grew about tenfold per iteration,
+    # to a 1.2e-3 relative gap in the final residual with gmres(5)
+    CASES = {
+        "0": (Grid3D(6, 6, 6, DirichletBoundary({"x_lo": 1.0, "y_hi": 0.5})), (2, 2, 1), 0),
+        "1": (Grid3D(6, 6, 6, DirichletBoundary({"x_lo": 1.0, "y_hi": 0.5})), (2, 2, 1), 1),
+        "12x12x6": (Grid3D(12, 12, 6, DirichletBoundary({"x_lo": 1.0})), (3, 3, 1), 1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("kind", ["jacobi", "cg", "gmres", "direct"])
-    def test_matches_sync_threads(self, kind, overlap):
-        problem = make_problem(6)
+    def test_matches_sync_threads(self, kind, case):
+        grid, blocks, overlap = self.CASES[case]
+        problem = build_laplace_3d(grid)
         replay, threads = (
             outer_solve(
                 problem,
                 OuterConfig(
-                    block_grid=(2, 2, 1),
+                    block_grid=blocks,
                     overlap=overlap,
                     inner=InnerSolverSpec(kind, 5),
                     tol=1e-6,
@@ -586,6 +636,8 @@ class TestFusedSyncReplay:
         assert replay.final_true_residual == pytest.approx(
             threads.final_true_residual, rel=1e-10
         )
+        if kind != "direct":
+            assert np.array_equal(replay.solution, threads.solution)
 
     def test_never_touches_the_sync_fabric(self, monkeypatch):
         def no_fabric(*args, **kwargs):
