@@ -6,7 +6,7 @@ communication fabric with seeded delay injection, and a CLI harness for
 parameter studies.
 """
 
-from .comm import DelayModel, Fabric, HaloBufferPool, HaloMessage, ReductionTree, create_fabric
+from .comm import DelayModel, Fabric, HaloMessage, ReductionTree, create_fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import (
     InnerSolveReport,
@@ -53,7 +53,6 @@ __all__ = [
     "DirichletBoundary",
     "Fabric",
     "Grid3D",
-    "HaloBufferPool",
     "HaloMessage",
     "InnerSolveReport",
     "InnerSolverSpec",

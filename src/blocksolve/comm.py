@@ -18,18 +18,24 @@ iterations: a message sent at iteration k with delay d becomes deliverable
 once the *receiver* has begun iteration k + d. Messages are delayed, never
 lost.
 
-The asynchronous halo swap follows an R-slot buffer pool per neighbor pair:
-completed sends are reclaimed at each swap, a new send is issued only when a
-slot is free (an exhausted pool skips the send rather than blocking), and of
-the receives completed since the last swap only the freshest payload is
-applied; stale ones are discarded.
+Every asynchronous message travels on a directed channel: a halo link from
+block to neighbor, or an up or down link of the reduction tree. All channels
+share one send rule (``Fabric._send``: draw the delay, clamp jitter, queue)
+and one receive rule (``Fabric._freshest``: deliver what is due, keep the
+newest). The halo swap adds R send slots per channel: completed sends are
+reclaimed at each swap, a new send is issued only when a slot is free (an
+exhausted channel skips the send rather than blocking), and of the receives
+completed since the last swap only the freshest payload is applied; stale
+ones are discarded.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +44,6 @@ from .errors import ConfigurationError, ProtocolError
 __all__ = [
     "DelayModel",
     "HaloMessage",
-    "HaloBufferPool",
     "ReductionTree",
     "Fabric",
     "create_fabric",
@@ -91,40 +96,10 @@ class DelayModel:
 
 @dataclass
 class HaloMessage:
-    """One halo payload in flight between two blocks."""
+    """One halo payload and the sender's outer iteration that produced it."""
 
-    source_block: int
-    target_block: int
     outer_iteration: int
     payload: np.ndarray
-
-
-class HaloBufferPool:
-    """Send-slot pool and mailbox for one directed neighbor pair.
-
-    At most R sends are in flight; a send stays in flight until the receiver
-    has reached its delivery iteration and the sender next reclaims. The
-    mailbox holds delivered-but-unconsumed messages in send order.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.in_flight: list[int] = []  # delivery iterations of outstanding sends
-        self.mailbox: deque[tuple[int, HaloMessage]] = deque()
-        self.last_applied_seq = -1
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.in_flight)
-
-    def reclaim(self, receiver_iteration: int) -> None:
-        self.in_flight = [t for t in self.in_flight if t > receiver_iteration]
-
-    def post(self, deliver_at: int, message: HaloMessage) -> None:
-        if self.free_slots <= 0:
-            raise ProtocolError("send posted with no free buffer slot")
-        self.in_flight.append(deliver_at)
-        self.mailbox.append((deliver_at, message))
 
 
 class ReductionTree:
@@ -154,27 +129,28 @@ class ReductionTree:
         return depth
 
 
-def _deliver(queue: deque, now: int, limit: int | None = None) -> list[tuple]:
-    """Remove and return, in send order, the ``(deliver_at, item)`` entries of
-    ``queue`` deliverable at iteration ``now``, at most ``limit`` of them."""
-    taken, kept = [], []
-    for entry in queue:
-        if entry[0] <= now and (limit is None or len(taken) < limit):
-            taken.append(entry)
-        else:
-            kept.append(entry)
-    queue.clear()
-    queue.extend(kept)
-    return taken
+class _Estimate(NamedTuple):
+    total: float
+    contributions: dict[int, int]  # contributor -> its iteration
+    stamp: int  # iteration of the worker that formed the sum
 
 
-class _Estimate:
-    __slots__ = ("total", "contributions", "stamp")
+@dataclass
+class _Channel:
+    """One directed link, keyed ``("halo", src, dst)``, ``("up", child,
+    parent)`` or ``("down", parent, child)``.
 
-    def __init__(self, total: float, contributions: dict[int, int], stamp: int):
-        self.total = total
-        self.contributions = contributions
-        self.stamp = stamp
+    ``queue`` holds the undelivered ``(deliver_at, item)`` messages in send
+    order and ``last_delivery`` the newest delivery time, the jitter clamp.
+    Only halo channels use ``in_flight``, the delivery times of sends the
+    sender has not yet reclaimed, and ``applied``, the newest iteration the
+    receiver has applied.
+    """
+
+    queue: deque = field(default_factory=deque)
+    last_delivery: int = -1
+    in_flight: list[int] = field(default_factory=list)
+    applied: int = -1
 
 
 class Fabric:
@@ -218,7 +194,6 @@ class Fabric:
         self.events: list[tuple] = []
 
         self._rng = np.random.default_rng(delay.seed)
-        self._last_delivery: dict[tuple, int] = {}  # channel -> latest delivery
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._version = 0
@@ -226,22 +201,19 @@ class Fabric:
         self._live = set(range(num_workers))
         self._waiting: dict[int, int] = {}  # worker -> version it waits to move past
 
-        self._pools = {
-            (w, n): HaloBufferPool(buffer_slots)
-            for w, nbrs in enumerate(self.topology)
-            for n in nbrs
+        self._channels = {
+            ("halo", w, n): _Channel() for w, nbrs in enumerate(self.topology) for n in nbrs
         }
+        for node in range(num_workers):
+            for child in self.tree.children(node):
+                self._channels[("up", child, node)] = _Channel()
+                self._channels[("down", node, child)] = _Channel()
         # rendezvous key -> ({worker: (k, post)}, posters yet to read)
         self._rounds: dict[object, tuple[dict[int, tuple], set[int]]] = {}
         self._reductions = [0] * num_workers  # reduce_sync calls per worker
 
-        # asynchronous tree reduction state
-        self._up: dict[tuple[int, int], deque] = {}
-        self._down: dict[tuple[int, int], deque] = {}
-        for node in range(num_workers):
-            for child in self.tree.children(node):
-                self._up[(child, node)] = deque()
-                self._down[(node, child)] = deque()
+        # asynchronous tree reduction state; a child cache keeps first-delivery
+        # order, which fixes the order the partial sums are added in
         self._child_cache: list[dict[int, _Estimate]] = [
             {} for _ in range(num_workers)
         ]
@@ -261,17 +233,35 @@ class Fabric:
         self._version += 1
         self._changed.notify_all()
 
-    def _delivery_time(self, channel: tuple, k: int) -> int:
-        """Delivery iteration of a message sent on ``channel`` at iteration k.
+    def _send(self, key: tuple, k: int, item) -> int:
+        """Queue ``item``, sent at iteration k, on channel ``key``; return its
+        delivery iteration.
 
         Under ``drop_free_jitter`` it is never earlier than that of the
         channel's previous message, so messages keep their send order.
         """
+        channel = self._channels[key]
         deliver_at = k + self.delay.draw(self._rng)
         if self.delay.kind == "drop_free_jitter":
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, deliver_at))
-            self._last_delivery[channel] = deliver_at
+            deliver_at = max(deliver_at, channel.last_delivery)
+        channel.last_delivery = deliver_at
+        channel.queue.append((deliver_at, item))
         return deliver_at
+
+    def _freshest(self, key: tuple, now: int, stamp, limit: int | None = None):
+        """Deliver the messages on channel ``key`` that are due at iteration
+        ``now``, at most ``limit`` of them in send order, and return the one
+        with the largest ``stamp(item)`` (the first of equals), or None."""
+        queue = self._channels[key].queue
+        taken, kept = [], []
+        for entry in queue:
+            if entry[0] <= now and (limit is None or len(taken) < limit):
+                taken.append(entry[1])
+            else:
+                kept.append(entry)
+        queue.clear()
+        queue.extend(kept)
+        return max(taken, key=stamp, default=None)
 
     def _event(self, *item) -> None:
         if self.record_events:
@@ -326,8 +316,8 @@ class Fabric:
     def pool_state(self, source: int, target: int) -> tuple[int, int, int]:
         """(in_flight, free, capacity) for one directed halo channel."""
         with self._lock:
-            pool = self._pools[(source, target)]
-            return (len(pool.in_flight), pool.free_slots, pool.capacity)
+            in_flight = len(self._channels[("halo", source, target)].in_flight)
+            return (in_flight, self.buffer_slots - in_flight, self.buffer_slots)
 
     # -- rendezvous ----------------------------------------------------------
 
@@ -387,7 +377,7 @@ class Fabric:
             ),
         )
         return {
-            nbr: HaloMessage(nbr, block_id, k, posts[nbr][1][block_id])
+            nbr: HaloMessage(k, posts[nbr][1][block_id])
             for nbr in self.topology[block_id]
         }
 
@@ -406,35 +396,33 @@ class Fabric:
         self._check_outgoing(block_id, outgoing)
         fresh: dict[int, HaloMessage] = {}
         with self._lock:
+            now = self._iteration[block_id]
             for nbr in self.topology[block_id]:
-                out_pool = self._pools[(block_id, nbr)]
-                out_pool.reclaim(self._iteration[nbr])
-                if out_pool.free_slots > 0:
-                    deliver_at = self._delivery_time(("halo", block_id, nbr), k)
-                    out_pool.post(
-                        deliver_at,
-                        HaloMessage(block_id, nbr, k, np.array(outgoing[nbr], copy=True)),
-                    )
+                key = ("halo", block_id, nbr)
+                out = self._channels[key]
+                receiver_now = self._iteration[nbr]
+                out.in_flight = [t for t in out.in_flight if t > receiver_now]
+                if len(out.in_flight) < self.buffer_slots:
+                    message = HaloMessage(k, np.array(outgoing[nbr], copy=True))
+                    deliver_at = self._send(key, k, message)
+                    out.in_flight.append(deliver_at)
                     self._event("send", block_id, nbr, k, deliver_at)
                 else:
                     self._event("send_skipped", block_id, nbr, k)
 
-                in_pool = self._pools[(nbr, block_id)]
-                taken = _deliver(
-                    in_pool.mailbox, self._iteration[block_id], self.buffer_slots
+                key = ("halo", nbr, block_id)
+                best = self._freshest(
+                    key, now, attrgetter("outer_iteration"), self.buffer_slots
                 )
-                if taken:
-                    _, best = max(taken, key=lambda entry: entry[1].outer_iteration)
-                    if best.outer_iteration > in_pool.last_applied_seq:
-                        in_pool.last_applied_seq = best.outer_iteration
-                        fresh[nbr] = best
-                        self._event(
-                            "apply", nbr, block_id, best.outer_iteration, k
-                        )
-                    else:
-                        self._event(
-                            "discard_stale", nbr, block_id, best.outer_iteration, k
-                        )
+                if best is None:
+                    continue
+                into = self._channels[key]
+                if best.outer_iteration > into.applied:
+                    into.applied = best.outer_iteration
+                    fresh[nbr] = best
+                    self._event("apply", nbr, block_id, best.outer_iteration, k)
+                else:
+                    self._event("discard_stale", nbr, block_id, best.outer_iteration, k)
             self._bump()
         return fresh
 
@@ -474,26 +462,22 @@ class Fabric:
         tree = self.tree
         with self._lock:
             now = self._iteration[block_id]
+            cache = self._child_cache[block_id]
             for child in tree.children(block_id):
-                taken = _deliver(self._up[(child, block_id)], now)
-                if taken:
-                    _, best = max(taken, key=lambda entry: entry[1].stamp)
-                    cached = self._child_cache[block_id].get(child)
-                    if cached is None or best.stamp > cached.stamp:
-                        self._child_cache[block_id][child] = best
+                best = self._freshest(("up", child, block_id), now, attrgetter("stamp"))
+                if best is not None and (child not in cache or best.stamp > cache[child].stamp):
+                    cache[child] = best
 
             parent = tree.parent(block_id)
             if parent is not None:
-                taken = _deliver(self._down[(parent, block_id)], now)
-                if taken:
-                    _, best = max(taken, key=lambda entry: entry[1].stamp)
-                    latest = self._latest_estimate[block_id]
-                    if latest is None or best.stamp > latest.stamp:
-                        self._latest_estimate[block_id] = best
+                best = self._freshest(("down", parent, block_id), now, attrgetter("stamp"))
+                latest = self._latest_estimate[block_id]
+                if best is not None and (latest is None or best.stamp > latest.stamp):
+                    self._latest_estimate[block_id] = best
 
             partial = float(value)
             contributions = {block_id: k}
-            for est in self._child_cache[block_id].values():
+            for est in cache.values():
                 partial += est.total
                 contributions.update(est.contributions)
 
@@ -503,16 +487,14 @@ class Fabric:
                         partial, dict(contributions), k
                     )
             else:
-                deliver_at = self._delivery_time(("up", block_id, parent), k)
-                self._up[(block_id, parent)].append(
-                    (deliver_at, _Estimate(partial, dict(contributions), k))
+                self._send(
+                    ("up", block_id, parent), k, _Estimate(partial, dict(contributions), k)
                 )
 
             latest = self._latest_estimate[block_id]
             if latest is not None and latest.stamp > self._forwarded_stamp[block_id]:
                 for child in tree.children(block_id):
-                    deliver_at = self._delivery_time(("down", block_id, child), k)
-                    self._down[(block_id, child)].append((deliver_at, latest))
+                    self._send(("down", block_id, child), k, latest)
                 self._forwarded_stamp[block_id] = latest.stamp
             self._bump()
 
@@ -548,8 +530,8 @@ class Fabric:
         All live workers post their current payloads and each receives its
         neighbors' latest values, labelled with the iteration each sender
         posted, so the residues reduced afterwards describe one consistent
-        global iterate. Bypasses the buffer pools but advances their
-        applied-sequence floor so later pool receives cannot regress
+        global iterate. Bypasses the halo channels but advances their
+        applied iteration so later channel receives cannot regress
         freshness.
         """
         self._check_outgoing(block_id, outgoing)
@@ -563,9 +545,9 @@ class Fabric:
             for nbr in self.topology[block_id]:
                 if nbr in posts:
                     sent_k, payloads = posts[nbr]
-                    fresh[nbr] = HaloMessage(nbr, block_id, sent_k, payloads[block_id])
-                    pool = self._pools[(nbr, block_id)]
-                    pool.last_applied_seq = max(pool.last_applied_seq, sent_k)
+                    fresh[nbr] = HaloMessage(sent_k, payloads[block_id])
+                    into = self._channels[("halo", nbr, block_id)]
+                    into.applied = max(into.applied, sent_k)
             self._rounds.setdefault(_CONFIRM_SUM, ({}, set()))
         return fresh
 

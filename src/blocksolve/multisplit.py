@@ -126,12 +126,10 @@ class BlockState:
     points fill its own segment.
     """
 
-    block_id: int
     x_local: np.ndarray  # over the extended region
     halo_values: np.ndarray  # merged values at the coupled external columns
     values: np.ndarray  # merge value sequence, by source block
     applied: np.ndarray  # outer iteration of each segment (-1 = initial guess)
-    owner_values: np.ndarray  # owning block's latest value per tracked point
 
 
 @dataclass
@@ -154,8 +152,7 @@ class BlockWorkspace:
     coupling: SparseMatrix  # extended rows x halo columns
     halo_cols: np.ndarray  # sorted global indices of coupled external points
     b_ext: np.ndarray
-    b_owned_norm: float
-    b_global_norm: float
+    residual_scale: float  # the owned part of ||b||, else the global ||b||, else 1
     owned_global: np.ndarray
     owned_local: np.ndarray
     shared_local: np.ndarray  # non-owned positions of the extended region
@@ -183,12 +180,10 @@ class BlockWorkspace:
 
     def initial_state(self) -> BlockState:
         return BlockState(
-            block_id=self.block_id,
             x_local=np.zeros(self.n_local),
             halo_values=np.zeros(self.halo_cols.shape[0]),
             values=np.zeros(self.merge_slots.shape[0]),
             applied=np.full(len(self.sources), -1),
-            owner_values=np.zeros(self.cover.shape[0]),
         )
 
 
@@ -211,7 +206,7 @@ def build_workspaces(
     decomposition/neighbor-list bug and raises ProtocolError.
     """
     b = problem.rhs
-    b_global_norm = float(np.linalg.norm(b))
+    b_global_norm = float(np.linalg.norm(b)) or 1.0
     exts = decomp.extended_indices
     owned_glob = [decomp.owned_indices(blk) for blk in range(decomp.num_blocks)]
     owner_of = np.full(b.shape[0], -1)
@@ -274,8 +269,7 @@ def build_workspaces(
                 coupling=coupling,
                 halo_cols=halo_cols,
                 b_ext=b[ext].copy(),
-                b_owned_norm=float(np.linalg.norm(b[owned_glob[blk]])),
-                b_global_norm=b_global_norm,
+                residual_scale=float(np.linalg.norm(b[owned_glob[blk]])) or b_global_norm,
                 owned_global=owned_glob[blk],
                 owned_local=owned_local,
                 shared_local=shared_local,
@@ -305,17 +299,14 @@ def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     Every non-owned point the block tracks gets the equal-weight average of
     the latest contribution from each covering block; the block's own fresh
     inner-solve values participate at overlap points. Owned points are never
-    modified. The owner-canonical values (each point as reported by its
-    owning block) are refreshed alongside for residual evaluation.
-    ``bincount`` sums each slot's values in sequence order, so every point
-    adds its covering blocks' values in block order, as
+    modified. ``bincount`` sums each slot's values in sequence order, so
+    every point adds its covering blocks' values in block order, as
     ``_StackedBlocks.merge`` does.
     """
     mean = np.bincount(ws.merge_slots, state.values, ws.cover.shape[0]) / ws.cover
     n_halo = ws.halo_cols.shape[0]
     state.halo_values = mean[:n_halo]
     state.x_local[ws.shared_local] = mean[n_halo:]
-    state.owner_values = state.values[ws.owner_pick]
 
 
 def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
@@ -329,20 +320,16 @@ def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
     when the owned part is zero.
     """
     n_halo = ws.halo_cols.shape[0]
+    owner_values = state.values[ws.owner_pick]
     if ws.shared_local.size:
         x_view = state.x_local.copy()
-        x_view[ws.shared_local] = state.owner_values[n_halo:]
+        x_view[ws.shared_local] = owner_values[n_halo:]
     else:
         x_view = state.x_local
     r = ws.b_ext[ws.owned_local] - spmv(ws.a_owned, x_view)
     if n_halo:
-        r -= spmv(ws.coupling_owned, state.owner_values[:n_halo])
-    return float(np.linalg.norm(r)) / _residual_scale(ws)
-
-
-def _residual_scale(ws: BlockWorkspace) -> float:
-    """The owned part of ||b||, else the global ||b||, else 1."""
-    return ws.b_owned_norm or ws.b_global_norm or 1.0
+        r -= spmv(ws.coupling_owned, owner_values[:n_halo])
+    return float(np.linalg.norm(r)) / ws.residual_scale
 
 
 def combined_residual(local_residuals) -> float:
@@ -907,7 +894,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     for blk, (ws, part) in enumerate(zip(workspaces, stacked.parts)):
         owner[ws.owned_global] = blk
         gather[ws.owned_global] = part.start + ws.owned_local
-    scale = np.array([_residual_scale(ws) for ws in workspaces])
+    scale = np.array([ws.residual_scale for ws in workspaces])
     shared_points = stacked.ext[stacked.shared]
     true_mode = config.residual_check_mode == "true"
 
@@ -923,7 +910,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
         x = z[gather]
         r = b - spmv(problem.matrix, x)
         residues = np.sqrt(np.bincount(owner, r * r, len(workspaces))) / scale
-        estimate = math.sqrt(sum((residues**2).tolist()))
+        estimate = combined_residual(residues)
         sample = None
         if true_mode or k % config.true_residual_interval == 0:
             sample = float(np.linalg.norm(r)) / b_norm

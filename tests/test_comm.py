@@ -210,8 +210,10 @@ class TestAsyncExchange:
         assert not [e for e in fabric.events if e[0] == "discard_stale"]
 
     def test_jitter_is_fifo_on_the_reduction_tree(self):
+        # every channel goes through Fabric._send, so the clamp holds on the
+        # halo links as well as on the tree's up and down links
         class SendLog(deque):
-            # _deliver refills a queue with extend, so append sees sends only
+            # _freshest refills a queue with extend, so append sees sends only
             def __init__(self):
                 super().__init__()
                 self.times = []
@@ -221,18 +223,20 @@ class TestAsyncExchange:
                 super().append(entry)
 
         fabric = pair_fabric("async", DelayModel("drop_free_jitter", low=0, high=5, seed=3))
-        channels = [fabric._up, fabric._down]
-        for queues in channels:
-            for key in queues:
-                queues[key] = SendLog()
+        channels = fabric._channels
+        assert sorted(channels) == [
+            ("down", 0, 1), ("halo", 0, 1), ("halo", 1, 0), ("up", 1, 0)
+        ]
+        for channel in channels.values():
+            channel.queue = SendLog()
         for k in range(200):
-            for wid in (0, 1):
+            for wid, nbr in ((0, 1), (1, 0)):
                 fabric.begin_iteration(wid, k)
+                fabric.halo_exchange_async(wid, {nbr: np.array([float(k)])}, k)
                 fabric.reduce_async(wid, 1.0, k)
-        for queues in channels:
-            (log,) = queues.values()
-            assert len(log.times) > 50
-            assert log.times == sorted(log.times)
+        for channel in channels.values():
+            assert len(channel.queue.times) > 50
+            assert channel.queue.times == sorted(channel.queue.times)
 
 
 class TestReduceSync:
@@ -310,6 +314,20 @@ class TestReduceAsync:
                     assert lags and max(lags.values()) <= 2 * depth
                     # the estimate is a true sum of per-worker past contributions
                     assert estimate == sum(float(k - lag) for lag in lags.values())
+
+    def test_root_adds_children_in_first_delivery_order(self):
+        # worker 2's partial sum reaches the root before worker 1's, so the
+        # root adds 1 + (1e16 + 2), which rounds to 1e16 + 4, then -1e16;
+        # child-index order would give 1 + -1e16 -> -1e16, then 2
+        fabric = create_fabric(3, "async")
+        for wid in range(3):
+            fabric.begin_iteration(wid, 0)
+        for wid, value in ((2, 1e16 + 2), (0, 1.0), (1, -1e16)):
+            fabric.reduce_async(wid, value, 0)
+        fabric.begin_iteration(0, 1)
+        estimate, lags = fabric.reduce_async(0, 1.0, 1)
+        assert estimate == 4.0
+        assert lags == {0: 0, 1: 1, 2: 1}
 
     def test_estimate_is_consistent_snapshot(self):
         fabric = create_fabric(3, "async", delay=DelayModel("uniform", low=0, high=2, seed=4))

@@ -210,7 +210,7 @@ class TestMergeOverlap:
                 expected = [np.mean(values[cs, p]) for cs, p in zip(covering, points)]
                 assert merged == pytest.approx(expected, rel=1e-14, abs=1e-14)
             tracked = np.concatenate((ws.halo_cols, shared))
-            assert np.array_equal(state.owner_values, values[owner[tracked], tracked])
+            assert np.array_equal(state.values[ws.owner_pick], values[owner[tracked], tracked])
             assert np.array_equal(state.x_local[ws.owned_local], values[ws.block_id][owned])
 
     def test_sums_in_block_order_like_the_stacked_merge(self):
