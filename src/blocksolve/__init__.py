@@ -6,15 +6,9 @@ communication fabric with seeded delay injection, and a CLI harness for
 parameter studies.
 """
 
-from .comm import DelayModel, Fabric, HaloMessage, ReductionTree, create_fabric
+from .comm import DelayModel, Fabric, ReductionTree
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
-from .inner_solvers import (
-    InnerSolveReport,
-    InnerSolverSpec,
-    cg_solve,
-    gmres_solve,
-    jacobi_solve,
-)
+from .inner_solvers import InnerSolveReport, InnerSolverSpec, prepare
 from .linalg import (
     SingularMatrixError,
     SparseMatrix,
@@ -53,7 +47,6 @@ __all__ = [
     "DirichletBoundary",
     "Fabric",
     "Grid3D",
-    "HaloMessage",
     "InnerSolveReport",
     "InnerSolverSpec",
     "LinearProblem",
@@ -69,16 +62,13 @@ __all__ = [
     "ZeroRhsError",
     "block_system",
     "build_laplace_3d",
-    "cg_solve",
     "combined_residual",
-    "create_fabric",
     "decompose",
     "dense_solve",
-    "gmres_solve",
     "iteration_operator",
-    "jacobi_solve",
     "outer_solve",
     "power_iteration",
+    "prepare",
     "residual_norms",
     "spmv",
     "true_relative_residual",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .comm import DelayModel
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
-from .inner_solvers import SOLVER_KINDS, InnerSolverSpec, solve as standalone_solve
+from .inner_solvers import SOLVER_KINDS, InnerSolverSpec, prepare
 from .multisplit import (
     EXECUTIONS,
     RESIDUAL_MODES,
@@ -271,7 +271,7 @@ def run(config: ExperimentConfig) -> RunSummary:
     if config.mode == "baseline":
         spec = InnerSolverSpec(config.inner, config.max_outer, config.tol, config.restart)
         x0 = np.zeros(problem.grid.num_unknowns)
-        x, report = standalone_solve(problem.matrix, problem.rhs, x0, spec)
+        x, report = prepare(spec, problem.matrix)(problem.rhs, x0)
         if report.stop_reason == "breakdown":
             raise SolverBreakdownError(0, report.iterations_used, "baseline solver breakdown")
         final_true = true_relative_residual(problem, x)

@@ -46,7 +46,6 @@ __all__ = [
     "HaloMessage",
     "ReductionTree",
     "Fabric",
-    "create_fabric",
 ]
 
 DEFAULT_BUFFER_SLOTS = 100  # R used throughout the experiments
@@ -103,30 +102,21 @@ class HaloMessage:
 
 
 class ReductionTree:
-    """Static reduction tree over worker ids, arity 2 by default."""
+    """Static binary reduction tree over worker ids, rooted at worker 0."""
 
-    def __init__(self, num_workers: int, arity: int = 2):
-        if arity < 1:
-            raise ConfigurationError("tree arity must be at least 1")
+    def __init__(self, num_workers: int):
         self.num_workers = num_workers
-        self.arity = arity
 
     def parent(self, node: int) -> int | None:
-        return None if node == 0 else (node - 1) // self.arity
+        return None if node == 0 else (node - 1) // 2
 
     def children(self, node: int) -> list[int]:
-        first = self.arity * node + 1
-        return [c for c in range(first, first + self.arity) if c < self.num_workers]
+        return [c for c in (2 * node + 1, 2 * node + 2) if c < self.num_workers]
 
     def depth(self) -> int:
-        depth = 0
-        for node in range(self.num_workers):
-            d = 0
-            while node != 0:
-                node = (node - 1) // self.arity
-                d += 1
-            depth = max(depth, d)
-        return depth
+        """Edges from the deepest worker to the root: node n sits at depth
+        floor(log2(n + 1))."""
+        return self.num_workers.bit_length() - 1
 
 
 class _Estimate(NamedTuple):
@@ -154,17 +144,24 @@ class _Channel:
 
 
 class Fabric:
-    """Shared communication state for a set of block workers."""
+    """Shared communication state for a set of block workers.
+
+    ``delay=None`` injects no delay and ``topology=None`` gives every worker
+    no neighbors. Deterministic for a fixed seed and scheduling order.
+    """
 
     def __init__(
         self,
         num_workers: int,
         mode: str,
-        buffer_slots: int,
-        delay: DelayModel,
-        topology: list[list[int]],
+        buffer_slots: int = DEFAULT_BUFFER_SLOTS,
+        delay: DelayModel | None = None,
+        topology: list[list[int]] | None = None,
         record_events: bool = False,
     ):
+        delay = delay or DelayModel()
+        if topology is None:
+            topology = [[] for _ in range(num_workers)]
         if num_workers < 1:
             raise ConfigurationError("num_workers: must be at least 1")
         if mode not in ("sync", "async"):
@@ -559,23 +556,3 @@ class Fabric:
         )
         return float(sum(posts[w][1] for w in sorted(posts)))
 
-
-def create_fabric(
-    num_workers: int,
-    mode: str,
-    buffer_slots: int = DEFAULT_BUFFER_SLOTS,
-    delay: DelayModel | None = None,
-    topology: list[list[int]] | None = None,
-    record_events: bool = False,
-) -> Fabric:
-    """Build a fabric; deterministic for a fixed seed and scheduling order."""
-    if topology is None:
-        topology = [[] for _ in range(num_workers)]
-    return Fabric(
-        num_workers=num_workers,
-        mode=mode,
-        buffer_slots=buffer_slots,
-        delay=delay or DelayModel(),
-        topology=topology,
-        record_events=record_events,
-    )

@@ -29,12 +29,8 @@ from .linalg import DENSE_ORACLE_CAP, SparseMatrix, as_vector, spmv
 __all__ = [
     "InnerSolverSpec",
     "InnerSolveReport",
-    "jacobi_solve",
-    "cg_solve",
-    "gmres_solve",
     "factor_direct",
     "prepare",
-    "solve",
 ]
 
 SOLVER_KINDS = ("jacobi", "cg", "gmres", "direct")
@@ -103,29 +99,10 @@ def prepare(spec: InnerSolverSpec, a: SparseMatrix, block_id: int = 0):
     return factor_direct(a, block_id)
 
 
-def jacobi_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
-    """Point-Jacobi sweeps: x <- D^-1 (b - (A - D) x)."""
-    return _jacobi(spec, a)(b, x0)
-
-
-def cg_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
-    """Conjugate gradients for symmetric positive definite systems."""
-    return _cg(spec, a)(b, x0)
-
-
-def gmres_solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
-    """Restarted GMRES with CGS2 Arnoldi and Givens rotations."""
-    return _gmres(spec, a)(b, x0)
-
-
-def solve(a: SparseMatrix, b, x0, spec: InnerSolverSpec) -> Solved:
-    """Run the solver named by ``spec.kind`` once on the whole system."""
-    return prepare(spec, a)(b, x0)
-
-
 def _jacobi(spec: InnerSolverSpec, a: SparseMatrix):
-    """The residual b - d*x - off @ x reuses the next sweep's ``off @ x``:
-    k sweeps make 1 + k spmv."""
+    """Point-Jacobi sweeps, x <- D^-1 (b - (A - D) x). The residual
+    b - d*x - off @ x reuses the next sweep's ``off @ x``: k sweeps make
+    1 + k spmv."""
     n = a.num_rows
     d = a.diagonal()
     singular = bool(np.any(d == 0.0))
@@ -157,6 +134,7 @@ def _jacobi(spec: InnerSolverSpec, a: SparseMatrix):
 
 
 def _cg(spec: InnerSolverSpec, a: SparseMatrix):
+    """Conjugate gradients for symmetric positive definite systems."""
     n = a.num_rows
 
     def solve_cg(b, x0) -> Solved:

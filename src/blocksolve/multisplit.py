@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric, create_fabric
+from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolverSpec, prepare
 from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
@@ -86,7 +86,6 @@ class OuterConfig:
     residual_check_mode: str = "paper"  # paper | true
     delay: DelayModel = field(default_factory=DelayModel)
     true_residual_interval: int = 10
-    capture_iterates: bool = False
     execution: str = "replay"  # replay | threads
     record_comm_events: bool = False
 
@@ -103,12 +102,8 @@ class OuterConfig:
             )
         if self.execution not in EXECUTIONS:
             raise ConfigurationError(f"exec: unknown execution {self.execution!r}")
-        if self.execution != "replay" and (
-            self.residual_check_mode == "true" or self.capture_iterates
-        ):
-            raise ConfigurationError(
-                "exec: true-residual termination and iterate capture need replay execution"
-            )
+        if self.execution != "replay" and self.residual_check_mode == "true":
+            raise ConfigurationError("exec: true-residual termination needs replay execution")
         if self.true_residual_interval < 1:
             raise ConfigurationError("true_res_every: must be at least 1")
         # checked here because synchronous replay builds no fabric
@@ -427,7 +422,6 @@ class SolveResult:
     converged: bool
     outer_iterations: int
     final_true_residual: float
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     comm_events: list[tuple] = field(default_factory=list)
 
 
@@ -650,7 +644,9 @@ def _block_worker(ctx: _WorkerContext):
                 if math.sqrt(confirmed) < cfg.tol:
                     ctx.converged = True
                     done = True
-            if not done and decision == "stop":
+            # at the cap the decision is "confirm" or "stop"; a failed
+            # confirmation stops there too
+            if not done and k + 1 >= cfg.max_outer:
                 ctx.converged = False
                 done = True
 
@@ -671,7 +667,7 @@ def _gather_solution(
 
 def _run_replay(problem, workspaces, contexts, fabric, config):
     """Deterministic round-robin scheduler with true-residual sampling,
-    for asynchronous replay.
+    for asynchronous replay; returns the samples, ``{iteration: residual}``.
 
     Workers can be up to one iteration apart mid-pass, so iterates are
     gathered incrementally: each worker's owned values are copied the moment
@@ -681,7 +677,6 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
     n = len(contexts)
     alive = set(range(n))
     samples: dict[int, float] = {}
-    snapshots: dict[int, np.ndarray] = {}
     partial: dict[int, tuple[np.ndarray, set]] = {}
 
     def want_true(k: int) -> bool:
@@ -691,7 +686,7 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
         )
 
     def on_iteration_complete(wid: int, k: int) -> None:
-        if not (want_true(k) or config.capture_iterates):
+        if not want_true(k):
             return
         if k not in partial:
             partial[k] = (np.zeros(problem.grid.num_unknowns), set())
@@ -701,12 +696,9 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
         seen.add(wid)
         if len(seen) == n:
             del partial[k]
-            if want_true(k):
-                samples[k] = true_relative_residual(problem, gathered)
-                if config.residual_check_mode == "true" and samples[k] < config.tol:
-                    fabric.request_stop()
-            if config.capture_iterates:
-                snapshots[k] = gathered
+            samples[k] = true_relative_residual(problem, gathered)
+            if config.residual_check_mode == "true" and samples[k] < config.tol:
+                fabric.request_stop()
 
     while alive:
         progressed = False
@@ -726,7 +718,7 @@ def _run_replay(problem, workspaces, contexts, fabric, config):
             raise ProtocolError(
                 f"replay stalled with workers {sorted(alive)} all waiting"
             )
-    return samples, [(k, snapshots[k]) for k in sorted(snapshots)]
+    return samples
 
 
 def _run_threads(contexts, fabric):
@@ -881,8 +873,8 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     the squared residues are summed in block order, as ``reduce_sync`` does.
     The same residual gives the true-residual samples.
 
-    Returns what ``_run_workers`` returns; the synchronous fabric ops record
-    no events, so the event list is empty.
+    Returns (solution, rows, converged, events), as ``_run_workers`` does;
+    the synchronous fabric ops record no events, so the event list is empty.
     """
     stacked = _StackedBlocks.build(workspaces, decomp, config.inner, problem.grid)
     b = problem.rhs
@@ -901,7 +893,6 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     z = np.zeros(stacked.ext.shape[0])
     mean = np.zeros(b.shape[0])
     rows: list[TraceRow] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
     for k in itertools.count():
         rhs = stacked.b_ext - spmv(stacked.coupling, mean)
         z, inner_iterations = stacked.solve(rhs, z, k)
@@ -915,38 +906,33 @@ def _run_sync_replay(problem, decomp, workspaces, config):
         if true_mode or k % config.true_residual_interval == 0:
             sample = float(np.linalg.norm(r)) / b_norm
         rows.append(TraceRow(k, float(k), estimate, sample, inner_iterations, 0))
-        if config.capture_iterates:
-            snapshots.append((k, x))
         if check_termination(estimate, config.tol, k + 1, config.max_outer, "sync") == "stop":
             converged = estimate < config.tol
             break
         if true_mode and sample < config.tol:
             converged = True
             break
-    return x, rows, converged, snapshots, []
+    return x, rows, converged, []
 
 
 def _run_workers(problem, decomp, workspaces, config):
     """Asynchronous replay and threaded execution: one generator per block.
 
-    Returns (solution, rows, converged, snapshots, events) with one trace
-    row per outer iteration, combined over the blocks that ran it.
+    Returns (solution, rows, converged, events) with one trace row per
+    outer iteration, combined over the blocks that ran it, and the fabric's
+    comm events (empty unless ``record_comm_events``).
     """
-    fabric = create_fabric(
-        num_workers=decomp.num_blocks,
-        mode=config.mode,
-        buffer_slots=config.buffer_slots,
-        delay=config.delay,
-        topology=decomp.neighbors,
-        record_events=config.record_comm_events,
+    fabric = Fabric(
+        decomp.num_blocks, config.mode, config.buffer_slots, config.delay,
+        decomp.neighbors, config.record_comm_events,
     )
     solvers = _prepare_solvers(workspaces, config.inner, problem.grid)
     contexts = [_WorkerContext(ws, s, fabric, config) for ws, s in zip(workspaces, solvers)]
     if config.execution == "replay":
-        samples, snapshots = _run_replay(problem, workspaces, contexts, fabric, config)
+        samples = _run_replay(problem, workspaces, contexts, fabric, config)
     else:
         _run_threads(contexts, fabric)
-        samples, snapshots = {}, []
+        samples = {}
 
     rows = []
     for k in range(max(len(ctx.records) for ctx in contexts)):
@@ -966,7 +952,6 @@ def _run_workers(problem, decomp, workspaces, config):
         _gather_solution(problem, workspaces, contexts),
         rows,
         all(ctx.converged for ctx in contexts),
-        snapshots,
         list(fabric.events),
     )
 
@@ -984,7 +969,7 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
         run = _run_sync_replay
     else:
         run = _run_workers
-    solution, rows, converged, snapshots, events = run(problem, decomp, workspaces, config)
+    solution, rows, converged, events = run(problem, decomp, workspaces, config)
 
     final_true = true_relative_residual(problem, solution)
     if rows and rows[-1].true_residual is None:
@@ -995,7 +980,6 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
         converged=converged,
         outer_iterations=len(rows),
         final_true_residual=final_true,
-        snapshots=snapshots,
         comm_events=events,
     )
 

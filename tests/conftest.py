@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,3 +46,23 @@ def count_symmetry_classes(shape, block_grid, overlap=1):
 def distinct_block_matrices():
     """The brute-force count of direct factors a decomposition needs."""
     return count_symmetry_classes
+
+
+def truncated_iterates(problem, config, count):
+    """The first ``count`` outer iterates of a synchronous replay run.
+
+    Replay is deterministic and stops right after iteration k when
+    ``max_outer`` is k + 1, so that run's solution is iterate k; each run
+    must make exactly k + 1 outer iterations."""
+    xs = []
+    for k in range(count):
+        result = multisplit.outer_solve(problem, replace(config, max_outer=k + 1))
+        assert result.outer_iterations == k + 1
+        xs.append(result.solution)
+    return xs
+
+
+@pytest.fixture
+def sync_iterates():
+    """Iterates 0..count-1 of a synchronous replay run, by truncation."""
+    return truncated_iterates

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from blocksolve.cli import main as cli_main
-from blocksolve.comm import DelayModel, create_fabric
-from blocksolve.inner_solvers import InnerSolverSpec, gmres_solve, solve as standalone_solve
+from blocksolve.comm import DelayModel, Fabric
+from blocksolve.inner_solvers import InnerSolverSpec, prepare
 from blocksolve.linalg import dense_solve, power_iteration
 from blocksolve.multisplit import (
     OuterConfig,
@@ -81,8 +81,8 @@ def test_criterion_1_oracle_correctness():
             for kind in ("jacobi", "cg", "gmres"):
                 # baseline: one global solve of the full system
                 spec = InnerSolverSpec(kind, 50000, TOL, restart=30)
-                x, report = standalone_solve(
-                    problem.matrix, problem.rhs, np.zeros(problem.grid.num_unknowns), spec
+                x, report = prepare(spec, problem.matrix)(
+                    problem.rhs, np.zeros(problem.grid.num_unknowns)
                 )
                 assert report.stop_reason == "tolerance_met", (n, kind)
                 runs[f"baseline-{kind}"] = x
@@ -101,15 +101,13 @@ def test_criterion_1_oracle_correctness():
         assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s (budget 60s)"
 
 
-def test_criterion_2_degeneration_equivalences():
+def test_criterion_2_degeneration_equivalences(sync_iterates):
     with criterion(2, "degeneration equivalences"):
         # (a) single block + inner GMRES == plain GMRES, iterate for iterate
         problem = problem_of(6)
         n = problem.grid.num_unknowns
         spec = InnerSolverSpec("gmres", 500, 1e-8, restart=30)
-        x_plain, report_plain = gmres_solve(
-            problem.matrix, problem.rhs, np.zeros(n), spec
-        )
+        x_plain, report_plain = prepare(spec, problem.matrix)(problem.rhs, np.zeros(n))
         result = outer_solve(
             problem,
             OuterConfig(block_grid=(1, 1, 1), inner=spec, tol=1e-6, max_outer=10),
@@ -123,29 +121,23 @@ def test_criterion_2_degeneration_equivalences():
             problem, decompose(problem.grid, (1, 1, 1)), 0
         )
         assert coupling.nnz == 0 and halo_cols.size == 0
-        _, report_block = gmres_solve(a_block, problem.rhs, np.zeros(n), spec)
+        _, report_block = prepare(spec, a_block)(problem.rhs, np.zeros(n))
         assert report_block.residual_history == report_plain.residual_history
 
         # (b) one-unknown blocks + exact inner solve == point Jacobi
         problem_b = problem_of(3)
         dense_b = problem_b.matrix.to_dense()
-        result = outer_solve(
-            problem_b,
-            OuterConfig(
-                block_grid=(3, 3, 3),
-                inner=InnerSolverSpec("direct", 1),
-                tol=1e-300,
-                max_outer=6,
-                capture_iterates=True,
-                true_residual_interval=10**9,
-            ),
+        config_b = OuterConfig(
+            block_grid=(3, 3, 3),
+            inner=InnerSolverSpec("direct", 1),
+            tol=1e-300,
+            true_residual_interval=10**9,
         )
         d = np.diag(dense_b)
         x_ref = np.zeros(27)
-        assert len(result.snapshots) == 6
-        for _, snapshot in result.snapshots:
+        for x in sync_iterates(problem_b, config_b, 6):
             x_ref = (problem_b.rhs - (dense_b - np.diag(d)) @ x_ref) / d
-            assert np.abs(snapshot - x_ref).max() <= 1e-12
+            assert np.abs(x - x_ref).max() <= 1e-12
 
         # (c) (2,1,1) blocks + exact inner + sync == dense block Jacobi
         problem_c = problem_of(6)
@@ -155,22 +147,16 @@ def test_criterion_2_degeneration_equivalences():
         for b in range(2):
             owned = decomp_c.owned_indices(b)
             m[np.ix_(owned, owned)] = dense_c[np.ix_(owned, owned)]
-        result = outer_solve(
-            problem_c,
-            OuterConfig(
-                block_grid=(2, 1, 1),
-                inner=InnerSolverSpec("direct", 1),
-                tol=1e-300,
-                max_outer=8,
-                capture_iterates=True,
-                true_residual_interval=10**9,
-            ),
+        config_c = OuterConfig(
+            block_grid=(2, 1, 1),
+            inner=InnerSolverSpec("direct", 1),
+            tol=1e-300,
+            true_residual_interval=10**9,
         )
         x_ref = np.zeros(problem_c.grid.num_unknowns)
-        assert len(result.snapshots) == 8
-        for _, snapshot in result.snapshots:
+        for x in sync_iterates(problem_c, config_c, 8):
             x_ref = x_ref + np.linalg.solve(m, problem_c.rhs - dense_c @ x_ref)
-            assert np.abs(snapshot - x_ref).max() <= 1e-12
+            assert np.abs(x - x_ref).max() <= 1e-12
 
 
 def spectral_radius(problem, blocks, overlap, tol=1e-9):
@@ -255,7 +241,7 @@ def test_criterion_6_sync_async_behavior():
         assert async_result.outer_iterations >= sync_result.outer_iterations
 
         # adversarially suspended neighbor: every async call returns
-        fabric = create_fabric(
+        fabric = Fabric(
             2, "async", buffer_slots=8, delay=DelayModel("fixed", fixed=1),
             topology=[[1], [0]],
         )
@@ -274,7 +260,7 @@ def test_criterion_6_sync_async_behavior():
 def test_criterion_7_protocol_invariants():
     with criterion(7, "R-buffer protocol invariants over 1000+ steps"):
         bound = 3
-        fabric = create_fabric(
+        fabric = Fabric(
             4,
             "async",
             buffer_slots=4,

@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from blocksolve.comm import DelayModel, ReductionTree, create_fabric
+from blocksolve.comm import DelayModel, Fabric, ReductionTree
 from blocksolve.errors import ConfigurationError, ProtocolError
 
 
@@ -28,37 +28,37 @@ def run_rendezvous(gens):
 
 
 def pair_fabric(mode, delay=None, slots=100, record=False):
-    return create_fabric(
+    return Fabric(
         2, mode, buffer_slots=slots, delay=delay, topology=[[1], [0]], record_events=record
     )
 
 
 class TestCreateFabric:
     def test_single_worker_no_channels(self):
-        fabric = create_fabric(1, "sync")
+        fabric = Fabric(1, "sync")
         fabric.begin_iteration(0, 0)
         assert run_rendezvous({0: fabric.halo_exchange_sync(0, {}, 0)}) == {0: {}}
 
     def test_single_worker_async_noop(self):
-        fabric = create_fabric(1, "async")
+        fabric = Fabric(1, "async")
         fabric.begin_iteration(0, 0)
         assert fabric.halo_exchange_async(0, {}, 0) == {}
 
     def test_asymmetric_topology_rejected(self):
         with pytest.raises(ConfigurationError, match="asymmetric"):
-            create_fabric(2, "sync", topology=[[1], []])
+            Fabric(2, "sync", topology=[[1], []])
 
     def test_self_neighbor_rejected(self):
         with pytest.raises(ConfigurationError, match="itself"):
-            create_fabric(1, "sync", topology=[[0]])
+            Fabric(1, "sync", topology=[[0]])
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigurationError):
-            create_fabric(0, "sync")
+            Fabric(0, "sync")
         with pytest.raises(ConfigurationError):
-            create_fabric(1, "both")
+            Fabric(1, "both")
         with pytest.raises(ConfigurationError):
-            create_fabric(1, "sync", buffer_slots=0)
+            Fabric(1, "sync", buffer_slots=0)
 
 
 class TestSyncExchange:
@@ -78,7 +78,7 @@ class TestSyncExchange:
     def test_same_iteration_despite_delays(self):
         # the synchronous swap waits for same-iteration data; injected delays
         # stretch time, not correctness
-        fabric = create_fabric(
+        fabric = Fabric(
             4,
             "sync",
             delay=DelayModel("uniform", low=0, high=5, seed=3),
@@ -256,7 +256,7 @@ class TestReduceSync:
         assert got[0] == 0.0
 
     def test_single_worker(self):
-        fabric = create_fabric(1, "sync")
+        fabric = Fabric(1, "sync")
         assert run_rendezvous({0: fabric.reduce_sync(0, 7.5, 3)}) == {0: 7.5}
 
     def test_mismatched_iteration_raises(self):
@@ -277,21 +277,21 @@ class TestReduceSync:
 
 class TestReduceAsync:
     def test_single_worker_immediate(self):
-        fabric = create_fabric(1, "async")
+        fabric = Fabric(1, "async")
         fabric.begin_iteration(0, 0)
         estimate, lags = fabric.reduce_async(0, 4.0, 0)
         assert estimate == 4.0
         assert lags == {0: 0}
 
     def test_estimate_inf_before_flush(self):
-        fabric = create_fabric(4, "async")
+        fabric = Fabric(4, "async")
         for wid in range(4):
             fabric.begin_iteration(wid, 0)
         estimates = [fabric.reduce_async(wid, 1.0, 0)[0] for wid in range(4)]
         assert math.isinf(estimates[1]) and math.isinf(estimates[3])
 
     def test_constant_contributions_flush_within_tree_depth(self):
-        fabric = create_fabric(4, "async")
+        fabric = Fabric(4, "async")
         depth = fabric.tree.depth()
         flushed_at = {}
         for k in range(4 * depth + 2):
@@ -304,7 +304,7 @@ class TestReduceAsync:
         assert max(flushed_at.values()) <= 2 * depth
 
     def test_steady_state_lag_bounded(self):
-        fabric = create_fabric(7, "async")
+        fabric = Fabric(7, "async")
         depth = fabric.tree.depth()
         for k in range(6 * depth):
             for wid in range(7):
@@ -319,7 +319,7 @@ class TestReduceAsync:
         # worker 2's partial sum reaches the root before worker 1's, so the
         # root adds 1 + (1e16 + 2), which rounds to 1e16 + 4, then -1e16;
         # child-index order would give 1 + -1e16 -> -1e16, then 2
-        fabric = create_fabric(3, "async")
+        fabric = Fabric(3, "async")
         for wid in range(3):
             fabric.begin_iteration(wid, 0)
         for wid, value in ((2, 1e16 + 2), (0, 1.0), (1, -1e16)):
@@ -330,7 +330,7 @@ class TestReduceAsync:
         assert lags == {0: 0, 1: 1, 2: 1}
 
     def test_estimate_is_consistent_snapshot(self):
-        fabric = create_fabric(3, "async", delay=DelayModel("uniform", low=0, high=2, seed=4))
+        fabric = Fabric(3, "async", delay=DelayModel("uniform", low=0, high=2, seed=4))
         values = {}
         for k in range(30):
             for wid in range(3):
@@ -402,7 +402,7 @@ class TestConfirm:
 
 class TestRoundLifetime:
     def test_completed_rounds_are_freed(self):
-        fabric = create_fabric(3, "sync", topology=[[1], [0, 2], [1]])
+        fabric = Fabric(3, "sync", topology=[[1], [0, 2], [1]])
         for k in range(300):
             for wid in range(3):
                 fabric.begin_iteration(wid, k)
@@ -428,7 +428,7 @@ class TestRoundLifetime:
         # more workers than cores and a short switch interval, so threads
         # interleave inside the shared round table
         n, iterations = 6, 150
-        fabric = create_fabric(n, "sync", topology=[[(w - 1) % n, (w + 1) % n] for w in range(n)])
+        fabric = Fabric(n, "sync", topology=[[(w - 1) % n, (w + 1) % n] for w in range(n)])
         errors = []
 
         def drive(wid):
@@ -472,6 +472,18 @@ class TestRoundLifetime:
         assert fabric._rounds == {}
 
 
+def tree_depth_by_walking(num_workers):
+    """The longest parent chain to the root, walked node by node."""
+    depth = 0
+    for node in range(num_workers):
+        d = 0
+        while node != 0:
+            node = (node - 1) // 2
+            d += 1
+        depth = max(depth, d)
+    return depth
+
+
 class TestReductionTree:
     def test_binary_links(self):
         tree = ReductionTree(7)
@@ -481,15 +493,27 @@ class TestReductionTree:
         assert tree.parent(5) == 2
         assert tree.depth() == 2
 
+    def test_depth_matches_walk(self):
+        for n in range(1, 71):
+            assert ReductionTree(n).depth() == tree_depth_by_walking(n), n
+
+    def test_children_name_their_parent(self):
+        for n in range(1, 71):
+            tree = ReductionTree(n)
+            for node in range(n):
+                for child in tree.children(node):
+                    assert tree.parent(child) == node
+
     def test_spans_all_workers(self):
-        tree = ReductionTree(10, arity=3)
-        seen = set()
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            seen.add(node)
-            frontier.extend(tree.children(node))
-        assert seen == set(range(10))
+        for n in (1, 2, 7, 10, 64):
+            tree = ReductionTree(n)
+            seen = []
+            frontier = [0]
+            while frontier:
+                node = frontier.pop()
+                seen.append(node)
+                frontier.extend(tree.children(node))
+            assert sorted(seen) == list(range(n)), n
 
 
 class TestDeterminism:

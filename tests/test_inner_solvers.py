@@ -6,15 +6,7 @@ import pytest
 
 from blocksolve import inner_solvers
 from blocksolve.errors import ConfigurationError
-from blocksolve.inner_solvers import (
-    InnerSolveReport,
-    InnerSolverSpec,
-    cg_solve,
-    gmres_solve,
-    jacobi_solve,
-    prepare,
-    solve,
-)
+from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec, prepare
 from blocksolve.linalg import SparseMatrix, dense_solve, residual_norms
 from blocksolve.problems import DirichletBoundary, Grid3D, build_laplace_3d
 
@@ -54,7 +46,7 @@ class TestSpec:
 class TestJacobi:
     def test_identity_one_sweep(self):
         b = np.array([1.0, -2.0, 3.0])
-        x, report = jacobi_solve(identity(3), b, np.zeros(3), InnerSolverSpec("jacobi", 5, 1e-12))
+        x, report = prepare(InnerSolverSpec("jacobi", 5, 1e-12), identity(3))(b, np.zeros(3))
         assert np.array_equal(x, b)
         assert report.iterations_used == 1
         assert report.stop_reason == "tolerance_met"
@@ -63,7 +55,7 @@ class TestJacobi:
         a = tridiag(3)
         b = np.array([1.0, 0.0, 1.0])
         x_true = dense_solve(a.to_dense(), b)
-        x, report = jacobi_solve(a, b, x_true, InnerSolverSpec("jacobi", 10, 1e-10))
+        x, report = prepare(InnerSolverSpec("jacobi", 10, 1e-10), a)(b, x_true)
         assert report.iterations_used == 0
         assert report.stop_reason == "tolerance_met"
         assert np.array_equal(x, x_true)
@@ -71,9 +63,9 @@ class TestJacobi:
     def test_hand_unrolled_two_sweeps(self):
         a = tridiag(2)
         b = np.ones(2)
-        x1, _ = jacobi_solve(a, b, np.zeros(2), InnerSolverSpec("jacobi", 1))
+        x1, _ = prepare(InnerSolverSpec("jacobi", 1), a)(b, np.zeros(2))
         assert np.allclose(x1, [0.5, 0.5], atol=1e-15)
-        x2, _ = jacobi_solve(a, b, np.zeros(2), InnerSolverSpec("jacobi", 2))
+        x2, _ = prepare(InnerSolverSpec("jacobi", 2), a)(b, np.zeros(2))
         assert np.allclose(x2, [0.75, 0.75], atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -87,7 +79,7 @@ class TestJacobi:
         x_ref = np.zeros(n)
         for sweeps in range(1, 6):
             x_ref = (b - (dense - np.diag(d)) @ x_ref) / d
-            x, _ = jacobi_solve(a, b, np.zeros(n), InnerSolverSpec("jacobi", sweeps))
+            x, _ = prepare(InnerSolverSpec("jacobi", sweeps), a)(b, np.zeros(n))
             assert np.abs(x - x_ref).max() <= 1e-14 * max(np.abs(x_ref).max(), 1.0)
 
     @pytest.mark.parametrize("sweeps,tolerance", [(1, 0.0), (7, 0.0), (500, 1e-6)])
@@ -95,7 +87,7 @@ class TestJacobi:
         problem = laplace_4cubed()
         calls = count_spmv(monkeypatch)
         spec = InnerSolverSpec("jacobi", sweeps, tolerance)
-        x, report = jacobi_solve(problem.matrix, problem.rhs, np.zeros(64), spec)
+        x, report = prepare(spec, problem.matrix)(problem.rhs, np.zeros(64))
         assert len(calls) == 1 + report.iterations_used
         assert report.stop_reason == ("tolerance_met" if tolerance else "max_iterations")
         true_rel = residual_norms(problem.matrix, x, problem.rhs)[1]
@@ -103,14 +95,14 @@ class TestJacobi:
 
     def test_zero_diagonal_breakdown(self):
         a = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        _, report = jacobi_solve(a, np.ones(2), np.zeros(2), InnerSolverSpec("jacobi", 5))
+        _, report = prepare(InnerSolverSpec("jacobi", 5), a)(np.ones(2), np.zeros(2))
         assert report.stop_reason == "breakdown"
 
     def test_divergence_reports_breakdown(self):
         # spectral radius of the Jacobi iteration matrix is 2: iterates blow up
         a = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.warns(RuntimeWarning, match="overflow"):
-            _, report = jacobi_solve(a, np.ones(2), np.zeros(2), InnerSolverSpec("jacobi", 5000))
+            _, report = prepare(InnerSolverSpec("jacobi", 5000), a)(np.ones(2), np.zeros(2))
         assert report.stop_reason in ("breakdown", "max_iterations")
         assert not report.final_relative_residual <= 1.0
 
@@ -118,15 +110,15 @@ class TestJacobi:
 class TestCG:
     def test_identity_one_iteration(self):
         b = np.array([2.0, -1.0, 0.5])
-        x, report = cg_solve(identity(3), b, np.zeros(3), InnerSolverSpec("cg", 5, 1e-12))
+        x, report = prepare(InnerSolverSpec("cg", 5, 1e-12), identity(3))(b, np.zeros(3))
         assert report.iterations_used == 1
         assert np.allclose(x, b, atol=1e-15)
 
     def test_matches_dense_oracle(self):
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
-        x, report = cg_solve(
-            problem.matrix, problem.rhs, np.zeros(64), InnerSolverSpec("cg", 64, 1e-12)
+        x, report = prepare(InnerSolverSpec("cg", 64, 1e-12), problem.matrix)(
+            problem.rhs, np.zeros(64)
         )
         assert report.stop_reason == "tolerance_met"
         assert np.abs(x - x_true).max() <= 1e-8
@@ -137,13 +129,13 @@ class TestCG:
         n = int(rng.integers(4, 33))
         a = random_spd(rng, n)
         b = rng.standard_normal(n)
-        x, report = cg_solve(a, b, np.zeros(n), InnerSolverSpec("cg", 2 * n, 1e-12))
+        x, report = prepare(InnerSolverSpec("cg", 2 * n, 1e-12), a)(b, np.zeros(n))
         assert report.stop_reason == "tolerance_met"
         assert report.iterations_used <= n
 
     def test_non_spd_breakdown(self):
         a = SparseMatrix.from_dense(np.diag([1.0, -1.0]))
-        _, report = cg_solve(a, np.ones(2), np.zeros(2), InnerSolverSpec("cg", 10, 1e-10))
+        _, report = prepare(InnerSolverSpec("cg", 10, 1e-10), a)(np.ones(2), np.zeros(2))
         assert report.stop_reason == "breakdown"
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -152,7 +144,7 @@ class TestCG:
         a = random_spd(rng, 20)
         b = rng.standard_normal(20)
         tol = 1e-8
-        x, report = cg_solve(a, b, np.zeros(20), InnerSolverSpec("cg", 200, tol))
+        x, report = prepare(InnerSolverSpec("cg", 200, tol), a)(b, np.zeros(20))
         assert report.stop_reason == "tolerance_met"
         assert residual_norms(a, x, b)[1] <= tol * (1 + 1e-12)
 
@@ -160,18 +152,15 @@ class TestCG:
 class TestGMRES:
     def test_identity_one_iteration(self):
         b = np.array([1.0, 2.0])
-        x, report = gmres_solve(identity(2), b, np.zeros(2), InnerSolverSpec("gmres", 5, 1e-12))
+        x, report = prepare(InnerSolverSpec("gmres", 5, 1e-12), identity(2))(b, np.zeros(2))
         assert report.iterations_used == 1
         assert np.allclose(x, b, atol=1e-14)
 
     def test_full_restart_matches_dense(self):
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
-        x, report = gmres_solve(
-            problem.matrix,
-            problem.rhs,
-            np.zeros(64),
-            InnerSolverSpec("gmres", 200, 1e-10, restart=64),
+        x, report = prepare(InnerSolverSpec("gmres", 200, 1e-10, restart=64), problem.matrix)(
+            problem.rhs, np.zeros(64)
         )
         assert report.stop_reason == "tolerance_met"
         assert np.abs(x - x_true).max() <= 1e-8
@@ -182,7 +171,7 @@ class TestGMRES:
         n = 20
         a = SparseMatrix.from_dense(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
         b = rng.standard_normal(n)
-        _, report = gmres_solve(a, b, np.zeros(n), InnerSolverSpec("gmres", n, 1e-14, restart=n))
+        _, report = prepare(InnerSolverSpec("gmres", n, 1e-14, restart=n), a)(b, np.zeros(n))
         history = report.residual_history
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier * (1 + 1e-12)
@@ -190,7 +179,7 @@ class TestGMRES:
     def test_happy_breakdown_returns_exact(self):
         a = SparseMatrix.from_dense(np.diag([2.0, 3.0]))
         b = np.array([1.0, 0.0])  # Krylov space closes after one step
-        x, report = gmres_solve(a, b, np.zeros(2), InnerSolverSpec("gmres", 10, tolerance=0.0))
+        x, report = prepare(InnerSolverSpec("gmres", 10, tolerance=0.0), a)(b, np.zeros(2))
         assert report.stop_reason == "tolerance_met"
         assert report.iterations_used == 1
         assert np.allclose(x, [0.5, 0.0], atol=1e-15)
@@ -201,13 +190,13 @@ class TestGMRES:
         a = SparseMatrix.from_entries(n, n, [((i + 1) % n, i, 1.0) for i in range(n)])
         b = np.zeros(n)
         b[0] = 1.0
-        _, report = gmres_solve(a, b, np.zeros(n), InnerSolverSpec("gmres", 20, 1e-10, restart=5))
+        _, report = prepare(InnerSolverSpec("gmres", 20, 1e-10, restart=5), a)(b, np.zeros(n))
         assert report.stop_reason == "breakdown"
 
     def test_singular_reduced_system_reports_breakdown(self):
         # A v0 = 0: the first Hessenberg column is zero, so it cannot be rotated
         a = SparseMatrix.from_dense(np.diag([0.0, 1.0]))
-        _, report = gmres_solve(a, np.array([1.0, 0.0]), np.zeros(2), InnerSolverSpec("gmres", 5))
+        _, report = prepare(InnerSolverSpec("gmres", 5), a)(np.array([1.0, 0.0]), np.zeros(2))
         assert report.stop_reason == "breakdown"
 
     def test_cap_reports_the_estimate_without_a_residual_spmv(self, monkeypatch):
@@ -229,11 +218,8 @@ class TestGMRES:
     def test_restart_cap_still_converges(self):
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
-        x, report = gmres_solve(
-            problem.matrix,
-            problem.rhs,
-            np.zeros(64),
-            InnerSolverSpec("gmres", 500, 1e-10, restart=10),
+        x, report = prepare(InnerSolverSpec("gmres", 500, 1e-10, restart=10), problem.matrix)(
+            problem.rhs, np.zeros(64)
         )
         assert report.stop_reason == "tolerance_met"
         assert np.abs(x - x_true).max() <= 1e-7
@@ -250,7 +236,9 @@ class TestCommonBehavior:
         warns = bad == np.inf and kind in ("jacobi", "cg")
         expected = pytest.warns(RuntimeWarning, match="invalid value")
         with expected if warns else contextlib.nullcontext():
-            _, report = solve(problem.matrix, b, np.zeros(64), InnerSolverSpec(kind, 2, restart=2))
+            _, report = prepare(InnerSolverSpec(kind, 2, restart=2), problem.matrix)(
+                b, np.zeros(64)
+            )
         assert report.stop_reason == "breakdown"
         assert not np.isfinite(report.final_relative_residual)
 
@@ -273,7 +261,7 @@ class TestCommonBehavior:
         problem = laplace_4cubed()
         spec = InnerSolverSpec(kind, 50, 1e-8)
         runs = [
-            solve(problem.matrix, problem.rhs, np.zeros(64), spec) for _ in range(2)
+            prepare(spec, problem.matrix)(problem.rhs, np.zeros(64)) for _ in range(2)
         ]
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1].residual_history == runs[1][1].residual_history
@@ -283,7 +271,7 @@ class TestCommonBehavior:
         a = tridiag(5, -1.0, 4.0, -1.0)
         rng = np.random.default_rng(7)
         x0 = rng.standard_normal(5)
-        x, report = solve(a, np.zeros(5), x0, InnerSolverSpec(kind, 500, 1e-12))
+        x, report = prepare(InnerSolverSpec(kind, 500, 1e-12), a)(np.zeros(5), x0)
         assert report.stop_reason == "tolerance_met"
         assert np.abs(x).max() <= 1e-10
 
@@ -292,7 +280,7 @@ class TestCommonBehavior:
         problem = laplace_4cubed()
         tol = 1e-6
         spec = InnerSolverSpec(kind, 5000, tol)
-        x, report = solve(problem.matrix, problem.rhs, np.zeros(64), spec)
+        x, report = prepare(spec, problem.matrix)(problem.rhs, np.zeros(64))
         assert report.stop_reason == "tolerance_met"
         assert residual_norms(problem.matrix, x, problem.rhs)[1] <= tol * (1 + 1e-12)
 
@@ -300,8 +288,8 @@ class TestCommonBehavior:
         problem = laplace_4cubed()
         x_true = dense_solve(problem.matrix.to_dense(), problem.rhs)
         calls = count_spmv(monkeypatch)
-        x, report = solve(
-            problem.matrix, problem.rhs, np.zeros(64), InnerSolverSpec("direct", 1)
+        x, report = prepare(InnerSolverSpec("direct", 1), problem.matrix)(
+            problem.rhs, np.zeros(64)
         )
         assert report.iterations_used == 1
         assert np.abs(x - x_true).max() <= 1e-12
@@ -355,4 +343,4 @@ class TestCommonBehavior:
 
         monkeypatch.setattr(SparseMatrix, "to_dense", no_densify)
         with pytest.raises(ConfigurationError, match="8379 rows"):
-            solve(problem.matrix, problem.rhs, np.zeros(8379), InnerSolverSpec("direct", 1))
+            prepare(InnerSolverSpec("direct", 1), problem.matrix)(problem.rhs, np.zeros(8379))

@@ -380,6 +380,26 @@ class TestOuterSolve:
         assert not result.converged
         assert result.outer_iterations == 3
 
+    def test_async_stops_at_cap_after_failed_confirmation(self):
+        # with these delays the confirmation asked for at iteration 47 fails
+        # and the one at iteration 48 succeeds; no block may run past the
+        # cap, and a confirmation that succeeds at the cap still converges
+        problem = make_problem(8, DirichletBoundary({"x_lo": 1.0}))
+        config = OuterConfig(
+            block_grid=(2, 2, 1),
+            overlap=1,
+            inner=InnerSolverSpec("gmres", 5),
+            mode="async",
+            delay=DelayModel("uniform", low=0, high=3, seed=5),
+            tol=1e-6,
+            record_comm_events=True,
+        )
+        for cap in range(46, 52):
+            result = outer_solve(problem, replace(config, max_outer=cap))
+            last = max(event[3] for event in result.comm_events if event[0] == "send")
+            assert result.outer_iterations == min(cap, 49) == last + 1, cap
+            assert result.converged == (cap >= 49), cap
+
     def test_trace_rows_well_formed(self):
         problem = make_problem(6)
         config = OuterConfig(
@@ -584,9 +604,9 @@ class TestOuterSolve:
         with pytest.raises(ConfigurationError, match="block 0 .* 8379 rows"):
             iteration_operator(problem, decompose(problem.grid, (1, 1, 1)))
 
-    def test_capture_requires_replay(self):
-        with pytest.raises(ConfigurationError):
-            OuterConfig(capture_iterates=True, execution="threads")
+    def test_true_residual_requires_replay(self):
+        with pytest.raises(ConfigurationError, match="needs replay"):
+            OuterConfig(residual_check_mode="true", execution="threads")
 
 
 class TestFusedSyncReplay:
@@ -930,7 +950,7 @@ class TestFixedPoint:
 
 
 class TestDegenerations:
-    def test_block_jacobi_recurrence(self):
+    def test_block_jacobi_recurrence(self, sync_iterates):
         # exact inner solves, no overlap, sync: iterates are plain block Jacobi
         problem = make_problem(6)
         dense = problem.matrix.to_dense()
@@ -939,21 +959,18 @@ class TestDegenerations:
             block_grid=(2, 1, 1),
             inner=InnerSolverSpec("direct", 1),
             tol=1e-300,
-            max_outer=8,
-            capture_iterates=True,
             true_residual_interval=10**9,
         )
-        result = outer_solve(problem, config)
         m = np.zeros_like(dense)
         for b in range(decomp.num_blocks):
             owned = decomp.owned_indices(b)
             m[np.ix_(owned, owned)] = dense[np.ix_(owned, owned)]
         x_ref = np.zeros(problem.grid.num_unknowns)
-        for k, snapshot in result.snapshots:
+        for x in sync_iterates(problem, config, 8):
             x_ref = x_ref + np.linalg.solve(m, problem.rhs - dense @ x_ref)
-            assert np.abs(snapshot - x_ref).max() <= 1e-12
+            assert np.abs(x - x_ref).max() <= 1e-12
 
-    def test_point_jacobi_degeneration(self):
+    def test_point_jacobi_degeneration(self, sync_iterates):
         # one-unknown blocks with exact inner solves reproduce point Jacobi
         problem = make_problem(3)
         dense = problem.matrix.to_dense()
@@ -961,16 +978,13 @@ class TestDegenerations:
             block_grid=(3, 3, 3),
             inner=InnerSolverSpec("direct", 1),
             tol=1e-300,
-            max_outer=6,
-            capture_iterates=True,
             true_residual_interval=10**9,
         )
-        result = outer_solve(problem, config)
         d = np.diag(dense)
         x_ref = np.zeros(27)
-        for k, snapshot in result.snapshots:
+        for x in sync_iterates(problem, config, 6):
             x_ref = (problem.rhs - (dense - np.diag(d)) @ x_ref) / d
-            assert np.abs(snapshot - x_ref).max() <= 1e-12
+            assert np.abs(x - x_ref).max() <= 1e-12
 
 
 class TestIterationOperator:
