@@ -42,7 +42,14 @@ from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolverSpec, prepare
 from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
-from .problems import BlockDecomposition, Grid3D, LinearProblem, block_system, decompose
+from .problems import (
+    BlockDecomposition,
+    Grid3D,
+    LinearProblem,
+    batches,
+    block_system,
+    decompose,
+)
 
 __all__ = [
     "OuterConfig",
@@ -182,11 +189,12 @@ class BlockWorkspace:
         )
 
 
-def _positions_in(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(sorted_arr, values)
-    if values.size and not np.array_equal(sorted_arr[pos], values):
-        raise ProtocolError("index set membership violated in payload construction")
-    return pos
+_GUARDS = (
+    "index set membership violated in payload construction",
+    "coupled column outside every extended region",
+    "payload coverage does not match the covering-block counts",
+    "some tracked point is not owned by exactly one neighbor",
+)
 
 
 def build_workspaces(
@@ -199,84 +207,163 @@ def build_workspaces(
     t's extended region, in global index order. Coverage and ownership of
     every tracked point are validated here; a gap indicates a
     decomposition/neighbor-list bug and raises ProtocolError.
+
+    The maps are built over the same ``batches`` of consecutive blocks as
+    ``block_system``. A batch lists every (tracked point, covering block)
+    pair: a point's covering blocks, in ascending id, and its position in
+    each of their regions come from one stable argsort of all stacked
+    extended indices, never from ``cover_counts``. The pairs whose covering
+    block is the tracking block or one of its neighbors, sorted by (tracking
+    block, source block, point), are the batch's merge value sequences, and
+    each source's run in them is its payload. Before any map is taken from
+    them, whole-array checks compare the batch with the decomposition: each
+    owned box lies in its region, each coupled column is covered,
+    ``cover_counts`` equals the pairs found and each point has exactly one
+    owning source. The lowest failing block raises, naming its first failed
+    check.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b)) or 1.0
+    grid = decomp.grid
+    num_blocks = decomp.num_blocks
     exts = decomp.extended_indices
-    owned_glob = [decomp.owned_indices(blk) for blk in range(decomp.num_blocks)]
-    owner_of = np.full(b.shape[0], -1)
-    for blk, owned in enumerate(owned_glob):
-        owner_of[owned] = blk
-    # filled by the receiving block's pass, which may come after the sender's
+    systems = block_system(problem, decomp)
+
+    sizes = np.array([ext.shape[0] for ext in exts])
+    ext_start = np.concatenate(([0], np.cumsum(sizes)))
+    # the copies of point p, in ascending block id, are at the stacked
+    # positions order[first[p]:first[p + 1]]
+    stacked = np.concatenate(exts)
+    order = np.argsort(stacked, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(stacked, minlength=b.shape[0]))))
+    del stacked
+    owner_of = np.full((grid.nz, grid.ny, grid.nx), -1)
+    for blk, box in enumerate(decomp.owned):
+        owner_of[box.lo[2] : box.hi[2], box.lo[1] : box.hi[1], box.lo[0] : box.hi[0]] = blk
+    owner_of = owner_of.ravel()
+    box_size = np.array([box.size for box in decomp.owned])
+    # (block, neighbor) links, sorted, then one past the largest possible
+    neighbor_link = np.repeat(
+        np.arange(num_blocks) * num_blocks, [len(nbrs) for nbrs in decomp.neighbors]
+    ) + np.fromiter(itertools.chain.from_iterable(decomp.neighbors), dtype=np.int64)
+    neighbor_link = np.append(np.sort(neighbor_link), num_blocks**2)
+    # filled by the receiving block's batch, which may come after the sender's
     send_idx: list[dict[int, np.ndarray]] = [{} for _ in exts]
 
     workspaces: list[BlockWorkspace] = []
-    for blk, ext in enumerate(exts):
-        a_ii, coupling, halo_cols = block_system(problem, decomp, blk)
-        owned_local = _positions_in(ext, owned_glob[blk])
-        shared_mask = np.ones(ext.shape[0], dtype=bool)
-        shared_mask[owned_local] = False
-        shared_local = np.flatnonzero(shared_mask)
-        n_halo = halo_cols.shape[0]
-        tracked = np.concatenate((halo_cols, ext[shared_local]))
+    for run in batches([a_ii.nnz + coupling.nnz for a_ii, coupling, _ in systems]):
+        count = len(run)
+        blocks = np.arange(run.start, run.stop)
+        rows = np.concatenate(exts[run.start : run.stop])
+        row_start = ext_start[run.start : run.stop + 1] - ext_start[run.start]
+        row_block = np.repeat(np.arange(count), np.diff(row_start))
+        local_row = np.arange(rows.shape[0]) - row_start[row_block]
+        owned = owner_of[rows] == blocks[row_block]
+        owned_count = np.bincount(row_block[owned], minlength=count)
+        own_start = np.concatenate(([0], np.cumsum(owned_count)))
+        shared_start = row_start - own_start
+        owned_global, owned_local = rows[owned], local_row[owned]
+        shared_global, shared_local = rows[~owned], local_row[~owned]
+
+        # tracked points, block by block: halo columns, then shared points
+        halos = [systems[blk][2] for blk in run]
+        tracked = np.concatenate(
+            [
+                part
+                for i, halo in enumerate(halos)
+                for part in (halo, shared_global[shared_start[i] : shared_start[i + 1]])
+            ]
+        )
+        n_halo = np.array([halo.shape[0] for halo in halos])
+        track_start = np.concatenate(([0], np.cumsum(n_halo + np.diff(shared_start))))
+        track_block = np.repeat(np.arange(count), np.diff(track_start))
+        slot = np.arange(tracked.shape[0]) - track_start[track_block]
         cover = decomp.cover_counts[tracked].astype(float)
-        if np.any(cover[:n_halo] < 1):
-            raise ProtocolError(
-                f"block {blk}: coupled column outside every extended region"
-            )
 
-        # tracked points in global order, and the tracked slot of each
-        slot_of = np.argsort(tracked)
-        points = tracked[slot_of]
-        neighbors = list(decomp.neighbors[blk])
-        sources = sorted([blk, *neighbors])
-        slots = []
-        for src in sources:
-            if src == blk:
-                slots.append(np.arange(n_halo, tracked.shape[0]))
-                continue
-            src_ext = exts[src]
-            pos = np.minimum(np.searchsorted(src_ext, points), src_ext.shape[0] - 1)
-            shipped = np.flatnonzero(src_ext[pos] == points)
-            send_idx[src][blk] = pos[shipped]
-            slots.append(slot_of[shipped])
-        bounds = np.cumsum([0] + [len(s) for s in slots]).tolist()
-        merge_slots = np.concatenate(slots)
-        coverage = np.bincount(merge_slots, minlength=cover.shape[0])
-        if not np.array_equal(coverage, cover):
-            raise ProtocolError(
-                f"block {blk}: payload coverage does not match the covering-block counts"
-            )
-        from_owner = np.flatnonzero(
-            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
-        )
-        owner_slots = merge_slots[from_owner]
-        if not np.array_equal(np.sort(owner_slots), np.arange(tracked.shape[0])):
-            raise ProtocolError(
-                f"block {blk}: some tracked point is not owned by exactly one neighbor"
-            )
+        # every (tracked point, covering block) pair, kept when the covering
+        # block is the tracking block or one of its neighbors
+        copies = first[tracked + 1] - first[tracked]
+        pair_track = np.repeat(np.arange(tracked.shape[0]), copies)
+        copy = order[
+            np.arange(pair_track.shape[0])
+            + np.repeat(first[tracked] - (np.cumsum(copies) - copies), copies)
+        ]
+        source = np.searchsorted(ext_start, copy, side="right") - 1
+        tracker = blocks[track_block[pair_track]]
+        link = tracker * num_blocks + source
+        # the batch's links and the next one, so every search lands on a link
+        lo, hi = np.searchsorted(neighbor_link, [run.start * num_blocks, run.stop * num_blocks])
+        links = neighbor_link[lo : hi + 1]
+        keep = (source == tracker) | (links[np.searchsorted(links, link)] == link)
+        # the merge value sequences: sorted by (tracking block, source, point)
+        seq = np.flatnonzero(keep)
+        key = (link[seq] - run.start * num_blocks) * b.shape[0] + tracked[pair_track[seq]]
+        seq = seq[np.argsort(key)]
+        pair_track, source, copy, link = pair_track[seq], source[seq], copy[seq], link[seq]
+        from_owner = owner_of[tracked[pair_track]] == source
 
-        workspaces.append(
-            BlockWorkspace(
-                block_id=blk,
-                ext=ext,
-                a_ii=a_ii,
-                coupling=coupling,
-                halo_cols=halo_cols,
-                b_ext=b[ext].copy(),
-                residual_scale=float(np.linalg.norm(b[owned_glob[blk]])) or b_global_norm,
-                owned_global=owned_glob[blk],
-                owned_local=owned_local,
-                shared_local=shared_local,
-                cover=cover,
-                neighbors=neighbors,
-                send_idx=send_idx[blk],
-                sources=sources,
-                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
-                merge_slots=merge_slots,
-                owner_pick=from_owner[np.argsort(owner_slots)],
-            )
+        def failing(per_point):
+            return np.bincount(track_block[per_point], minlength=count) > 0
+
+        failed = np.stack(
+            [
+                owned_count != box_size[run.start : run.stop],
+                failing((slot < n_halo[track_block]) & (cover < 1)),
+                failing(np.bincount(pair_track, minlength=tracked.shape[0]) != cover),
+                failing(np.bincount(pair_track[from_owner], minlength=tracked.shape[0]) != 1),
+            ],
+            axis=1,
         )
+        if failed.any():
+            i, guard = np.argwhere(failed)[0]
+            raise ProtocolError(f"block {run.start + i}: {_GUARDS[guard]}")
+
+        merge_slots = slot[pair_track]
+        payload = copy - ext_start[source]
+        merge_start = np.searchsorted(link, np.arange(run.start, run.stop + 1) * num_blocks)
+        owner_pick = np.empty(tracked.shape[0], dtype=np.int64)
+        owner_pick[pair_track[from_owner]] = np.flatnonzero(from_owner) - merge_start[
+            track_block[pair_track[from_owner]]
+        ]
+        source_lists = [sorted([blk, *decomp.neighbors[blk]]) for blk in run]
+        source_start = iter(
+            np.searchsorted(
+                link, [blk * num_blocks + src for blk, srcs in zip(run, source_lists) for src in srcs]
+            ).tolist()
+        )
+        b_ext = b[rows]
+        for i, blk in enumerate(run):
+            a_ii, coupling, halo_cols = systems[blk]
+            sources = source_lists[i]
+            m0, m1 = int(merge_start[i]), int(merge_start[i + 1])
+            bounds = [next(source_start) - m0 for _ in sources] + [m1 - m0]
+            for src, lo, hi in zip(sources, bounds[:-1], bounds[1:]):
+                if src != blk:
+                    send_idx[src][blk] = payload[m0 + lo : m0 + hi]
+            o0, o1 = own_start[i], own_start[i + 1]
+            s0, s1 = shared_start[i], shared_start[i + 1]
+            t0, t1 = track_start[i], track_start[i + 1]
+            workspaces.append(
+                BlockWorkspace(
+                    block_id=blk,
+                    ext=exts[blk],
+                    a_ii=a_ii,
+                    coupling=coupling,
+                    halo_cols=halo_cols,
+                    b_ext=b_ext[row_start[i] : row_start[i + 1]],
+                    residual_scale=float(np.linalg.norm(b[owned_global[o0:o1]])) or b_global_norm,
+                    owned_global=owned_global[o0:o1],
+                    owned_local=owned_local[o0:o1],
+                    shared_local=shared_local[s0:s1],
+                    cover=cover[t0:t1],
+                    neighbors=list(decomp.neighbors[blk]),
+                    send_idx=send_idx[blk],
+                    sources=sources,
+                    segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                    merge_slots=merge_slots[m0:m1],
+                    owner_pick=owner_pick[t0:t1],
+                )
+            )
     return workspaces
 
 

@@ -32,8 +32,14 @@ __all__ = [
     "BlockDecomposition",
     "build_laplace_3d",
     "decompose",
+    "batches",
     "block_system",
 ]
+
+# Matrix entries of the stacked extended rows one set-up batch may hold, so
+# the transient arrays of block extraction and payload maps stay bounded
+# whatever the block count (see ``batches``).
+BATCH_ENTRIES = 1 << 15
 
 FACES = ("x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi")
 
@@ -306,12 +312,36 @@ def decompose(
         distance = dx + dy[:, None] + dz[:, None, None]
         extended_indices.append(_box_indices(grid, pad_lo, pad_hi)[distance <= overlap])
 
-    # one row of box distances at a time, so no P x P table is built
-    neighbors = []
-    for b in range(len(owned)):
-        distance = _gap(lo[b], last[b], lo, last).sum(axis=1)
-        near = np.flatnonzero(distance <= 2 * overlap + 1).tolist()
-        neighbors.append([n for n in near if n != b])
+    # Blocks three or more block-grid steps apart on an axis have two whole
+    # ranges between them there, each wider than the overlap, so their gap
+    # exceeds 2 * overlap + 1: only the 5 x 5 x 5 window around a block can
+    # hold its neighbors. Per axis, the gap from each block position to the
+    # positions 2 back to 2 ahead; a position off the block grid is too far.
+    near = 2 * overlap + 1
+    steps = np.arange(-2, 3)
+    gaps = []
+    for axis_ranges, g in zip(ranges, block_grid):
+        first, end = (np.array(axis_ranges) - [0, 1]).T
+        other = np.arange(g)[:, None] + steps
+        on_grid = (other >= 0) & (other < g)
+        other = np.clip(other, 0, g - 1)
+        gap = _gap(first[:, None], end[:, None], first[other], end[other])
+        gaps.append(np.where(on_grid, gap, near + 1))
+    gx, gy, _ = block_grid
+    # window offsets ordered (dz, dy, dx), so each block's candidates ascend
+    distance = (
+        gaps[2][:, None, None, :, None, None]
+        + gaps[1][None, :, None, None, :, None]
+        + gaps[0][None, None, :, None, None, :]
+    ).reshape(len(owned), steps.size**3)
+    offsets = (steps[:, None, None] * gy + steps[:, None]) * gx + steps
+    is_near = distance <= near
+    is_near[:, offsets.size // 2] = False  # the block itself
+    candidates = np.arange(len(owned))[:, None] + offsets.ravel()
+    neighbors = [
+        row.tolist()
+        for row in np.split(candidates[is_near], np.cumsum(is_near.sum(axis=1))[:-1])
+    ]
 
     return BlockDecomposition(
         grid=grid,
@@ -326,23 +356,87 @@ def decompose(
     )
 
 
-def block_system(
-    problem: LinearProblem, decomp: BlockDecomposition, block_id: int
-) -> tuple[SparseMatrix, SparseMatrix, np.ndarray]:
-    """Extract a block's local system from the global operator.
+def batches(counts) -> list[range]:
+    """Runs of consecutive blocks whose counts sum to at most ``BATCH_ENTRIES``.
 
-    Returns ``(a_ii, coupling, halo_cols)``: the principal submatrix of A on
-    the block's extended region, the sorted global indices of the outside
+    A block whose count alone exceeds the limit forms a run of its own.
+    """
+    ends = np.cumsum(counts)
+    runs, start = [], 0
+    while start < ends.shape[0]:
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + BATCH_ENTRIES, side="right"))
+        runs.append(range(start, max(stop, start + 1)))
+        start = runs[-1].stop
+    return runs
+
+
+def block_system(
+    problem: LinearProblem, decomp: BlockDecomposition
+) -> list[tuple[SparseMatrix, SparseMatrix, np.ndarray]]:
+    """Extract every block's local system from the global operator.
+
+    Entry b is ``(a_ii, coupling, halo_cols)``: the principal submatrix of A
+    on block b's extended region, the sorted global indices of the outside
     columns those rows touch (the block's halo dependency set), and the
     extended rows of A restricted to those columns.
+
+    Blocks are extracted in ``batches`` of their extended rows' matrix
+    entries. A batch gathers A's rows over its stacked extended indices in
+    one call. One position array over the grid, reused by every block, then
+    holds the stacked position of each point of the block's region; stacked
+    positions only grow from block to block, so an entry whose column reads
+    a position below the block's first row lies outside its region. One
+    ``np.unique`` of the (block, column) keys of the batch's outside entries
+    gives every block's halo columns and each such entry's place among them.
+    Each block's matrices are views of the batch's arrays; every region and
+    halo set is sorted, so each row's columns stay increasing.
     """
-    if not 0 <= block_id < decomp.num_blocks:
-        raise ValueError(f"block_id {block_id} out of range")
-    ext = decomp.extended_indices[block_id]
-    rows = problem.matrix.csr[ext]
-    touched = np.zeros(rows.shape[1], dtype=bool)
-    touched[rows.indices] = True
-    touched[ext] = False
-    halo_cols = np.flatnonzero(touched)
-    # both column sets are sorted, so each row's columns stay increasing
-    return SparseMatrix(rows[:, ext]), SparseMatrix(rows[:, halo_cols]), halo_cols
+    csr = problem.matrix.csr
+    n = csr.shape[1]
+    row_entries = np.diff(csr.indptr)
+    exts = decomp.extended_indices
+    ext_start = np.concatenate(([0], np.cumsum([ext.shape[0] for ext in exts])))
+    position = np.full(n, -1)
+    systems = []
+    for run in batches([int(row_entries[ext].sum()) for ext in exts]):
+        row_start = ext_start[run.start : run.stop + 1] - ext_start[run.start]
+        gathered = csr[np.concatenate(exts[run.start : run.stop])]
+        entry_start = gathered.indptr[row_start]
+        # each entry's column as a position in its block's region, or < 0
+        local = np.empty(gathered.nnz, dtype=np.int64)
+        for i, blk in enumerate(run):
+            e0, e1 = entry_start[i], entry_start[i + 1]
+            position[exts[blk]] = np.arange(ext_start[blk], ext_start[blk + 1])
+            np.take(position, gathered.indices[e0:e1], out=local[e0:e1])
+            local[e0:e1] -= ext_start[blk]
+        outside = np.flatnonzero(local < 0)
+        out_ptr = np.zeros(gathered.shape[0] + 1, dtype=np.int64)
+        out_row = np.searchsorted(gathered.indptr, outside, side="right") - 1
+        np.cumsum(np.bincount(out_row, minlength=gathered.shape[0]), out=out_ptr[1:])
+        in_ptr = gathered.indptr - out_ptr
+        inside = local >= 0
+        in_cols = local[inside].astype(np.int32)
+        in_vals = gathered.data[inside]
+        out_block = np.searchsorted(entry_start, outside, side="right") - 1
+        halo_keys, halo_pos = np.unique(
+            out_block * n + gathered.indices[outside], return_inverse=True
+        )
+        halo_start = np.searchsorted(halo_keys, np.arange(len(run) + 1) * n)
+        out_cols = (halo_pos - halo_start[out_block]).astype(np.int32)
+        out_vals = gathered.data[outside]
+        for i in range(len(run)):
+            r0, r1 = row_start[i], row_start[i + 1]
+            h0, h1 = halo_start[i], halo_start[i + 1]
+            ip, op = in_ptr[r0 : r1 + 1], out_ptr[r0 : r1 + 1]
+            a_ii = scipy.sparse.csr_array(
+                (in_vals[ip[0] : ip[-1]], in_cols[ip[0] : ip[-1]], (ip - ip[0]).astype(np.int32)),
+                shape=(r1 - r0, r1 - r0),
+            )
+            coupling = scipy.sparse.csr_array(
+                (out_vals[op[0] : op[-1]], out_cols[op[0] : op[-1]], (op - op[0]).astype(np.int32)),
+                shape=(r1 - r0, h1 - h0),
+            )
+            halo_cols = halo_keys[h0:h1] - i * n
+            systems.append((SparseMatrix(a_ii), SparseMatrix(coupling), halo_cols))
+    return systems

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blocksolve import multisplit, problems
+from blocksolve.linalg import SparseMatrix
 
 
 def count_symmetry_classes(shape, block_grid, overlap=1):
@@ -66,3 +67,75 @@ def truncated_iterates(problem, config, count):
 def sync_iterates():
     """Iterates 0..count-1 of a synchronous replay run, by truncation."""
     return truncated_iterates
+
+
+def per_block_workspaces(problem, decomp):
+    """Every block's workspace built one block and one neighbor at a time.
+
+    A plain reference for ``multisplit.build_workspaces``: each block's rows
+    of A are taken with scipy's fancy indexing (``A[ext][:, ext]`` and the
+    outside columns they touch), and each neighbor's payload map with one
+    ``searchsorted`` of the tracked points in the neighbor's region.
+    """
+    b = problem.rhs
+    b_global_norm = float(np.linalg.norm(b)) or 1.0
+    exts = decomp.extended_indices
+    owned_glob = [decomp.owned_indices(blk) for blk in range(decomp.num_blocks)]
+    owner_of = np.full(b.shape[0], -1)
+    for blk, owned in enumerate(owned_glob):
+        owner_of[owned] = blk
+    send_idx = [{} for _ in exts]
+    workspaces = []
+    for blk, ext in enumerate(exts):
+        rows = problem.matrix.csr[ext]
+        outside = np.setdiff1d(rows.indices, ext)
+        halo_cols = outside.astype(np.int64)
+        owned_local = np.searchsorted(ext, owned_glob[blk])
+        shared_local = np.setdiff1d(np.arange(ext.shape[0]), owned_local)
+        tracked = np.concatenate((halo_cols, ext[shared_local]))
+        slot_of = np.argsort(tracked)
+        points = tracked[slot_of]
+        sources = sorted([blk, *decomp.neighbors[blk]])
+        slots = []
+        for src in sources:
+            if src == blk:
+                slots.append(np.arange(halo_cols.shape[0], tracked.shape[0]))
+                continue
+            src_ext = exts[src]
+            pos = np.minimum(np.searchsorted(src_ext, points), src_ext.shape[0] - 1)
+            shipped = np.flatnonzero(src_ext[pos] == points)
+            send_idx[src][blk] = pos[shipped]
+            slots.append(slot_of[shipped])
+        bounds = np.cumsum([0] + [len(s) for s in slots]).tolist()
+        merge_slots = np.concatenate(slots)
+        from_owner = np.flatnonzero(
+            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
+        )
+        workspaces.append(
+            multisplit.BlockWorkspace(
+                block_id=blk,
+                ext=ext,
+                a_ii=SparseMatrix(rows[:, ext]),
+                coupling=SparseMatrix(rows[:, halo_cols]),
+                halo_cols=halo_cols,
+                b_ext=b[ext].copy(),
+                residual_scale=float(np.linalg.norm(b[owned_glob[blk]])) or b_global_norm,
+                owned_global=owned_glob[blk],
+                owned_local=owned_local,
+                shared_local=shared_local,
+                cover=decomp.cover_counts[tracked].astype(float),
+                neighbors=list(decomp.neighbors[blk]),
+                send_idx=send_idx[blk],
+                sources=sources,
+                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                merge_slots=merge_slots,
+                owner_pick=from_owner[np.argsort(merge_slots[from_owner])],
+            )
+        )
+    return workspaces
+
+
+@pytest.fixture
+def reference_workspaces():
+    """The per-block reference builder of the block workspaces."""
+    return per_block_workspaces

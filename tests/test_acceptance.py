@@ -117,8 +117,8 @@ def test_criterion_2_degeneration_equivalences(sync_iterates):
         assert result.trace.rows[0].inner_iterations == report_plain.iterations_used
         # the extracted single-block system is A itself, so the iterate
         # sequences (residual histories) coincide exactly
-        a_block, coupling, halo_cols = block_system(
-            problem, decompose(problem.grid, (1, 1, 1)), 0
+        [(a_block, coupling, halo_cols)] = block_system(
+            problem, decompose(problem.grid, (1, 1, 1))
         )
         assert coupling.nnz == 0 and halo_cols.size == 0
         _, report_block = prepare(spec, a_block)(problem.rhs, np.zeros(n))

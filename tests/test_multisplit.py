@@ -1,8 +1,9 @@
 import math
 import sys
 import time
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from blocksolve.problems import (
     DirichletBoundary,
     Grid3D,
     LinearProblem,
+    batches,
     build_laplace_3d,
     decompose,
 )
@@ -87,6 +89,15 @@ def drop_owned_point_from_extended_region(decomp):
     decomp.extended_indices[0] = decomp.extended_indices[0][1:]
 
 
+def raise_cover_at_shared_point(decomp):
+    decomp.cover_counts[np.flatnonzero(decomp.cover_counts == 2)[0]] += 1
+
+
+def raise_cover_at_singly_covered_point(decomp):
+    # grid point 0: only block 0's region covers it, and it is a halo column of block 1
+    decomp.cover_counts[np.flatnonzero(decomp.cover_counts == 1)[0]] += 1
+
+
 class TestBuildWorkspaceGuards:
     @pytest.mark.parametrize(
         "corrupt,message",
@@ -95,6 +106,8 @@ class TestBuildWorkspaceGuards:
             (zero_cover_outside_block_0, "outside every extended region"),
             (shrink_owned_box_of_block_1, "not owned by exactly one neighbor"),
             (drop_owned_point_from_extended_region, "membership"),
+            (raise_cover_at_shared_point, "payload coverage"),
+            (raise_cover_at_singly_covered_point, "payload coverage"),
         ],
     )
     def test_corrupt_decomposition_raises(self, corrupt, message):
@@ -104,6 +117,99 @@ class TestBuildWorkspaceGuards:
         corrupt(decomp)
         with pytest.raises(ProtocolError, match=message):
             build_workspaces(problem, decomp)
+
+    def test_lowest_failing_block_is_named(self):
+        # the last block's region loses its last point, which it owns and no
+        # other region covers; every other block still checks out
+        problem = make_problem(6)
+        decomp = decompose(problem.grid, (2, 2, 2), 1)
+        decomp.extended_indices[7] = decomp.extended_indices[7][:-1]
+        with pytest.raises(ProtocolError, match="^block 7: index set membership"):
+            build_workspaces(problem, decomp)
+        # a missing neighbor pair fails both blocks; the lower one is named
+        drop_neighbor_pair(decomp)
+        with pytest.raises(ProtocolError, match="^block 0: payload coverage"):
+            build_workspaces(problem, decomp)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_same_workspace(got, want):
+    """Every field equal, dtypes included; matrices array by array."""
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, SparseMatrix):
+            assert a.shape == b.shape
+            for part in ("indptr", "indices", "data"):
+                assert_same_array(getattr(a.csr, part), getattr(b.csr, part))
+        elif isinstance(b, np.ndarray):
+            assert_same_array(a, b)
+        elif isinstance(b, dict):
+            assert list(a) == list(b)
+            for key in b:
+                assert_same_array(a[key], b[key])
+        else:
+            assert type(a) is type(b) and a == b, field.name
+            if isinstance(b, list):
+                assert [type(x) for x in a] == [type(x) for x in b]
+
+
+def batch_sizes(problem, decomp):
+    row_entries = np.diff(problem.matrix.csr.indptr)
+    return [len(run) for run in batches([row_entries[e].sum() for e in decomp.extended_indices])]
+
+
+class TestBuildWorkspacesMatchReference:
+    @pytest.mark.parametrize(
+        "shape,blocks,overlap",
+        [
+            ((24, 24, 24), (4, 4, 4), 1),
+            ((32, 32, 32), (2, 2, 2), 1),
+            ((9, 7, 11), (3, 2, 2), 2),
+            ((10, 9, 8), (3, 3, 2), 0),
+            ((16, 16, 16), (4, 4, 4), 3),
+            ((5, 6, 7), (1, 1, 1), 1),
+            ((6, 1, 1), (3, 1, 1), 1),
+            ((36, 36, 36), (1, 1, 2), 1),
+        ],
+    )
+    def test_byte_identical_workspaces(self, shape, blocks, overlap, reference_workspaces):
+        problem = build_laplace_3d(
+            Grid3D(*shape, DirichletBoundary({"x_lo": 1.0, "y_hi": 0.5}))
+        )
+        decomp = decompose(problem.grid, blocks, overlap)
+        workspaces = build_workspaces(problem, decomp)
+        reference = reference_workspaces(problem, decomp)
+        assert len(workspaces) == len(reference) == decomp.num_blocks
+        for got, want in zip(workspaces, reference):
+            assert_same_workspace(got, want)
+
+    def test_decompositions_span_several_batches(self):
+        # 64 blocks of 2100 to 3000 entries share six batches
+        problem = make_problem(24)
+        sizes = batch_sizes(problem, decompose(problem.grid, (4, 4, 4), 1))
+        assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 64
+        # blocks of over 160000 entries form a batch each
+        problem = make_problem(36)
+        assert batch_sizes(problem, decompose(problem.grid, (1, 1, 2), 1)) == [1, 1]
+
+    def test_transient_memory_is_bounded(self):
+        # 512 blocks of 6^3 owned points on 48^3: the per-block builder's
+        # arrays peak about 1.5 MB above what the workspaces keep, and all
+        # 512 blocks in one batch about 42 MB
+        problem = build_laplace_3d(Grid3D(48, 48, 48))
+        decomp = decompose(problem.grid, (8, 8, 8), 1)
+        tracemalloc.start()
+        try:
+            workspaces = build_workspaces(problem, decomp)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(workspaces) == 512
+        assert peak - held <= 8_000_000
 
 
 class TestAssembleRhs:

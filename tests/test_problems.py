@@ -7,8 +7,10 @@ import pytest
 from blocksolve.errors import ConfigurationError
 from blocksolve.linalg import dense_solve
 from blocksolve.problems import (
+    BATCH_ENTRIES,
     DirichletBoundary,
     Grid3D,
+    batches,
     block_system,
     build_laplace_3d,
     decompose,
@@ -278,6 +280,24 @@ class TestDecomposeOracle:
         assert np.array_equal(decomp.cover_counts, cover)
         assert decomp.neighbors == neighbors
 
+    @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape,blocks",
+        [((31, 13, 11), (7, 3, 2)), ((20, 8, 29), (5, 1, 6)), ((24, 24, 24), (6, 6, 6))],
+    )
+    def test_neighbors_match_the_all_pairs_rule(self, shape, blocks, overlap):
+        # uneven splits, and block grids wider than the 5-block search window
+        decomp = decompose(Grid3D(*shape), blocks, overlap)
+        lo = np.array([box.lo for box in decomp.owned])
+        last = np.array([box.hi for box in decomp.owned]) - 1
+        gap = np.maximum(
+            np.maximum(lo[:, None] - last[None], lo[None] - last[:, None]), 0
+        ).sum(axis=2)
+        assert decomp.neighbors == [
+            [other for other in np.flatnonzero(row <= 2 * overlap + 1).tolist() if other != b]
+            for b, row in enumerate(gap)
+        ]
+
     def test_neighbors_across_a_narrow_block(self):
         # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
         # reach x = 2 and x = 3, one stencil step apart
@@ -301,11 +321,19 @@ class TestDecomposeOracle:
         assert peak <= 8_000_000
 
 
+def test_batches_split_at_the_entry_limit():
+    half = BATCH_ENTRIES // 2
+    counts = [half, half, 1, BATCH_ENTRIES + 5, 3, BATCH_ENTRIES]
+    # a block over the limit is a batch of its own
+    assert batches(counts) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5), range(5, 6)]
+    assert batches([]) == []
+
+
 class TestBlockSystem:
     def test_single_block_is_whole_operator(self):
         problem = build_laplace_3d(Grid3D(3, 3, 3))
         decomp = decompose(problem.grid, (1, 1, 1))
-        a_ii, coupling, halo_cols = block_system(problem, decomp, 0)
+        [(a_ii, coupling, halo_cols)] = block_system(problem, decomp)
         assert np.array_equal(a_ii.to_dense(), problem.matrix.to_dense())
         assert coupling.shape == (27, 0) and coupling.nnz == 0
         assert halo_cols.size == 0
@@ -314,8 +342,7 @@ class TestBlockSystem:
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1))
         expected = np.array([[6.0, -1.0], [-1.0, 6.0]])
-        a0, c0, h0 = block_system(problem, decomp, 0)
-        a1, c1, h1 = block_system(problem, decomp, 1)
+        (a0, c0, h0), (a1, c1, h1) = block_system(problem, decomp)
         assert np.array_equal(a0.to_dense(), expected)
         assert np.array_equal(a1.to_dense(), expected)
         # block 0's local row 1 couples to global column 2 with -1, and
@@ -326,7 +353,7 @@ class TestBlockSystem:
     def test_chain_with_overlap(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1), overlap=1)
-        a0, c0, h0 = block_system(problem, decomp, 0)
+        a0, c0, h0 = block_system(problem, decomp)[0]
         assert a0.num_rows == 3
         expected = np.array([[6.0, -1, 0], [-1, 6, -1], [0, -1, 6]])
         assert np.array_equal(a0.to_dense(), expected)
@@ -338,9 +365,9 @@ class TestBlockSystem:
         problem = build_laplace_3d(Grid3D(4, 4, 4, DirichletBoundary({"x_hi": 1.0})))
         decomp = decompose(problem.grid, blocks, overlap=1)
         dense = problem.matrix.to_dense()
-        for b in range(decomp.num_blocks):
-            ext = decomp.extended_indices[b]
-            a_ii, coupling, halo_cols = block_system(problem, decomp, b)
+        for ext, (a_ii, coupling, halo_cols) in zip(
+            decomp.extended_indices, block_system(problem, decomp)
+        ):
             assert np.array_equal(a_ii.to_dense(), dense[np.ix_(ext, ext)])
             outside = dense[ext].copy()
             outside[:, ext] = 0.0
@@ -357,9 +384,9 @@ class TestBlockSystem:
         problem = build_laplace_3d(Grid3D(4, 4, 4))
         decomp = decompose(problem.grid, (2, 2, 1))
         rebuilt = np.zeros((64, 64))
-        for b in range(decomp.num_blocks):
-            ext = decomp.extended_indices[b]
-            a_ii, coupling, halo_cols = block_system(problem, decomp, b)
+        for ext, (a_ii, coupling, halo_cols) in zip(
+            decomp.extended_indices, block_system(problem, decomp)
+        ):
             rebuilt[np.ix_(ext, ext)] += a_ii.to_dense()
             rebuilt[np.ix_(ext, halo_cols)] += coupling.to_dense()
         assert np.array_equal(rebuilt, problem.matrix.to_dense())
