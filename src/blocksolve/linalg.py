@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 __all__ = [
+    "CsrParts",
     "SparseMatrix",
     "SpectralEstimate",
     "SingularMatrixError",
@@ -144,6 +145,22 @@ class SparseMatrix:
         self.csr.check_format(full_check=True)
         if not self.csr.has_canonical_format:
             raise ValueError("columns not strictly increasing in some row")
+
+
+class CsrParts(NamedTuple):
+    """The arrays of a CSR matrix, neither wrapped nor checked: ``data``,
+    ``indices`` and ``indptr`` as scipy names them, and the shape. Whoever
+    makes them vouches for the CSR invariants; ``matrix()`` checks them."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def matrix(self) -> SparseMatrix:
+        return SparseMatrix(
+            scipy.sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
+        )
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:

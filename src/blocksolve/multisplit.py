@@ -41,7 +41,7 @@ import scipy.sparse
 from .comm import DEFAULT_BUFFER_SLOTS, DelayModel, Fabric
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolverSpec, prepare
-from .linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
+from .linalg import CsrParts, SparseMatrix, ZeroRhsError, residual_norms, spmv
 from .problems import (
     BlockDecomposition,
     Grid3D,
@@ -138,6 +138,10 @@ class BlockState:
 class BlockWorkspace:
     """Immutable per-block geometry, operators and payload index maps.
 
+    The block's ``a_ii`` and ``coupling`` are held as the CSR parts
+    ``block_system`` extracted, views of its batch arrays; each
+    ``SparseMatrix`` is built and checked the first time it is read.
+
     The block tracks the points it needs from other blocks in one ordering:
     its halo columns first, then its shared points (the non-owned part of
     the extended region). The merge reads one value sequence with a segment
@@ -150,8 +154,8 @@ class BlockWorkspace:
 
     block_id: int
     ext: np.ndarray  # sorted global indices of the extended region
-    a_ii: SparseMatrix
-    coupling: SparseMatrix  # extended rows x halo columns
+    a_ii_parts: CsrParts
+    coupling_parts: CsrParts  # extended rows x halo columns
     halo_cols: np.ndarray  # sorted global indices of coupled external points
     b_ext: np.ndarray
     residual_scale: float  # the owned part of ||b||, else the global ||b||, else 1
@@ -169,6 +173,16 @@ class BlockWorkspace:
     @property
     def n_local(self) -> int:
         return int(self.ext.shape[0])
+
+    # the block's matrices, built and checked on first use: synchronous
+    # replay reads the parts, and a direct solve only its factor's first block
+    @cached_property
+    def a_ii(self) -> SparseMatrix:
+        return self.a_ii_parts.matrix()
+
+    @cached_property
+    def coupling(self) -> SparseMatrix:
+        return self.coupling_parts.matrix()
 
     # owned rows only, for the local residual; built on first use, since
     # synchronous replay never evaluates a residual per block
@@ -251,7 +265,7 @@ def build_workspaces(
     send_idx: list[dict[int, np.ndarray]] = [{} for _ in exts]
 
     workspaces: list[BlockWorkspace] = []
-    for run in batches([a_ii.nnz + coupling.nnz for a_ii, coupling, _ in systems]):
+    for run in batches([a.data.size + coupling.data.size for a, coupling, _ in systems]):
         count = len(run)
         blocks = np.arange(run.start, run.stop)
         rows = np.concatenate(exts[run.start : run.stop])
@@ -280,26 +294,28 @@ def build_workspaces(
         slot = np.arange(tracked.shape[0]) - track_start[track_block]
         cover = decomp.cover_counts[tracked].astype(float)
 
-        # every (tracked point, covering block) pair, kept when the covering
-        # block is the tracking block or one of its neighbors
+        # every (tracked point, covering block) pair, sorted by tracking
+        # block, then by the copy's stacked position: those run block by
+        # block and, inside a sorted region, in point order, so the pairs
+        # come sorted by (tracking block, source, point)
         copies = first[tracked + 1] - first[tracked]
         pair_track = np.repeat(np.arange(tracked.shape[0]), copies)
         copy = order[
             np.arange(pair_track.shape[0])
             + np.repeat(first[tracked] - (np.cumsum(copies) - copies), copies)
         ]
+        seq = np.argsort(track_block[pair_track] * ext_start[-1] + copy)
+        pair_track, copy = pair_track[seq], copy[seq]
         source = np.searchsorted(ext_start, copy, side="right") - 1
         tracker = blocks[track_block[pair_track]]
         link = tracker * num_blocks + source
-        # the batch's links and the next one, so every search lands on a link
+        # the merge value sequences: the pairs whose source is the tracking
+        # block or one of its neighbors; the batch's links and the next one,
+        # so every search lands on a link
         lo, hi = np.searchsorted(neighbor_link, [run.start * num_blocks, run.stop * num_blocks])
         links = neighbor_link[lo : hi + 1]
-        keep = (source == tracker) | (links[np.searchsorted(links, link)] == link)
-        # the merge value sequences: sorted by (tracking block, source, point)
-        seq = np.flatnonzero(keep)
-        key = (link[seq] - run.start * num_blocks) * b.shape[0] + tracked[pair_track[seq]]
-        seq = seq[np.argsort(key)]
-        pair_track, source, copy, link = pair_track[seq], source[seq], copy[seq], link[seq]
+        keep = np.flatnonzero((source == tracker) | (links[np.searchsorted(links, link)] == link))
+        pair_track, copy, source, link = pair_track[keep], copy[keep], source[keep], link[keep]
         from_owner = owner_of[tracked[pair_track]] == source
 
         def failing(per_point):
@@ -331,37 +347,43 @@ def build_workspaces(
                 link, [blk * num_blocks + src for blk, srcs in zip(run, source_lists) for src in srcs]
             ).tolist()
         )
-        b_ext = b[rows]
+        b_ext, b_owned = b[rows], b[owned_global]
+        at_row, at_own, at_shared, at_track, at_merge = (
+            bounds.tolist()
+            for bounds in (row_start, own_start, shared_start, track_start, merge_start)
+        )
         for i, blk in enumerate(run):
             a_ii, coupling, halo_cols = systems[blk]
             sources = source_lists[i]
-            m0, m1 = int(merge_start[i]), int(merge_start[i + 1])
+            m0, m1 = at_merge[i], at_merge[i + 1]
             bounds = [next(source_start) - m0 for _ in sources] + [m1 - m0]
-            for src, lo, hi in zip(sources, bounds[:-1], bounds[1:]):
+            segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            shipped = payload[m0:m1]
+            for src, segment in zip(sources, segments):
                 if src != blk:
-                    send_idx[src][blk] = payload[m0 + lo : m0 + hi]
-            o0, o1 = own_start[i], own_start[i + 1]
-            s0, s1 = shared_start[i], shared_start[i + 1]
-            t0, t1 = track_start[i], track_start[i + 1]
+                    send_idx[src][blk] = shipped[segment]
+            own = slice(at_own[i], at_own[i + 1])
+            shared = slice(at_shared[i], at_shared[i + 1])
+            track = slice(at_track[i], at_track[i + 1])
             workspaces.append(
                 BlockWorkspace(
                     block_id=blk,
                     ext=exts[blk],
-                    a_ii=a_ii,
-                    coupling=coupling,
+                    a_ii_parts=a_ii,
+                    coupling_parts=coupling,
                     halo_cols=halo_cols,
-                    b_ext=b_ext[row_start[i] : row_start[i + 1]],
-                    residual_scale=float(np.linalg.norm(b[owned_global[o0:o1]])) or b_global_norm,
-                    owned_global=owned_global[o0:o1],
-                    owned_local=owned_local[o0:o1],
-                    shared_local=shared_local[s0:s1],
-                    cover=cover[t0:t1],
+                    b_ext=b_ext[at_row[i] : at_row[i + 1]],
+                    residual_scale=float(np.linalg.norm(b_owned[own])) or b_global_norm,
+                    owned_global=owned_global[own],
+                    owned_local=owned_local[own],
+                    shared_local=shared_local[shared],
+                    cover=cover[track],
                     neighbors=list(decomp.neighbors[blk]),
                     send_idx=send_idx[blk],
                     sources=sources,
-                    segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                    segments=segments,
                     merge_slots=merge_slots[m0:m1],
-                    owner_pick=owner_pick[t0:t1],
+                    owner_pick=owner_pick[track],
                 )
             )
     return workspaces
@@ -545,21 +567,21 @@ def _region_box(grid: Grid3D, ext: np.ndarray) -> np.ndarray:
     return box
 
 
-def _equal_reordered(a: SparseMatrix, b: SparseMatrix, perm: np.ndarray) -> bool:
+def _equal_reordered(a: CsrParts, b: CsrParts, perm: np.ndarray) -> bool:
     """Whether ``b``, its rows and columns taken in ``perm`` order, is ``a``
     exactly: shape, indptr, indices and data. The entries are compared as
     sorted row-major keys with their values, which for canonical CSR says
     the same."""
-    if a.shape != b.shape or a.nnz != b.nnz:
+    if a.shape != b.shape or a.data.size != b.data.size:
         return False
-    n = a.num_rows
+    n = a.shape[0]
     moved_to = np.empty_like(perm)
     moved_to[perm] = np.arange(n)
-    keys = moved_to[np.repeat(np.arange(n), np.diff(b.row_offsets))] * n
-    keys += moved_to[b.col_indices]
+    keys = moved_to[np.repeat(np.arange(n), np.diff(b.indptr))] * n
+    keys += moved_to[b.indices]
     order = np.argsort(keys)
-    a_keys = np.repeat(np.arange(n), np.diff(a.row_offsets)) * n + a.col_indices
-    return np.array_equal(keys[order], a_keys) and np.array_equal(b.values[order], a.values)
+    a_keys = np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
+    return np.array_equal(keys[order], a_keys) and np.array_equal(b.data[order], a.data)
 
 
 @dataclass(eq=False)
@@ -584,19 +606,20 @@ class _Factor:
     """A direct factor and its owner's region and matrix."""
 
     occupied: np.ndarray  # the owner's bounding box, True at its points
-    a: SparseMatrix
+    a: CsrParts
     solve: object
 
 
 def _shared_solver(ws: BlockWorkspace, box: np.ndarray, factors: list[_Factor]):
-    """The block's solve through the first factor whose matrix is ``ws.a_ii``
-    under a symmetry of the grid axes, trying the identity first."""
+    """The block's solve through the first factor whose matrix is the
+    block's ``a_ii`` under a symmetry of the grid axes, trying the identity
+    first. The parts are compared, so no matrix is built."""
     for axes, flips in SYMMETRIES:
         moved = box.transpose(axes)[flips]
         for factor in factors:
             if np.array_equal(moved >= 0, factor.occupied):
                 perm = moved[factor.occupied]
-                if _equal_reordered(factor.a, ws.a_ii, perm):
+                if _equal_reordered(factor.a, ws.a_ii_parts, perm):
                     return _SharedFactor(factor.solve, perm)
     return None
 
@@ -610,7 +633,8 @@ def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, gr
     over b's extended region, equals a's exactly (shape, indptr, indices and
     data). The identity is tried first, so equal matrices share without
     reordering. Only a region that matches a's point for point under the
-    symmetry is compared entry by entry. Each direct solver is a
+    symmetry is compared entry by entry, part by part, so only the first
+    block of each factor builds its ``a_ii``. Each direct solver is a
     ``_SharedFactor``; the first block of each factor factors it and names
     any error.
 
@@ -629,7 +653,9 @@ def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, gr
         candidates = by_widths.setdefault(tuple(sorted(box.shape)), [])
         solver = _shared_solver(ws, box, candidates)
         if solver is None:
-            candidates.append(_Factor(box >= 0, ws.a_ii, prepare(spec, ws.a_ii, ws.block_id)))
+            candidates.append(
+                _Factor(box >= 0, ws.a_ii_parts, prepare(spec, ws.a_ii, ws.block_id))
+            )
             solver = _SharedFactor(candidates[-1].solve, np.arange(ws.n_local))
         solvers.append(solver)
     return solvers
@@ -884,21 +910,27 @@ class _StackedBlocks:
         spec: InnerSolverSpec,
         grid: Grid3D,
     ) -> "_StackedBlocks":
+        """Stack the workspaces and prepare their solvers.
+
+        The stacked coupling is assembled from every block's coupling parts,
+        its columns mapped through the block's halo columns, without
+        building a matrix per block. The only per-block matrices built are
+        those ``_prepare_solvers`` reads: one per factor for the direct
+        kind, every block's ``a_ii`` for the others.
+        """
         n = decomp.cover_counts.shape[0]
         offsets = np.cumsum([0] + [ws.n_local for ws in workspaces])
-        coupling = scipy.sparse.vstack(
-            [
-                scipy.sparse.csr_array(
-                    (
-                        ws.coupling.values,
-                        ws.halo_cols[ws.coupling.col_indices],
-                        ws.coupling.row_offsets,
-                    ),
-                    shape=(ws.n_local, n),
-                )
-                for ws in workspaces
-            ],
-            format="csr",
+        parts = [ws.coupling_parts for ws in workspaces]
+        row_entries = np.concatenate([np.diff(part.indptr) for part in parts])
+        coupling = scipy.sparse.csr_array(
+            (
+                np.concatenate([part.data for part in parts]),
+                np.concatenate(
+                    [ws.halo_cols[part.indices] for ws, part in zip(workspaces, parts)]
+                ),
+                np.concatenate(([0], np.cumsum(row_entries))),
+            ),
+            shape=(int(offsets[-1]), n),
         )
         solvers = _prepare_solvers(workspaces, spec, grid)
         batches: dict[object, list[np.ndarray]] = {}  # in the order of first blocks

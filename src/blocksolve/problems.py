@@ -15,6 +15,7 @@ full-grid array is built per block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ConfigurationError
-from .linalg import SparseMatrix
+from .linalg import CsrParts, SparseMatrix
 
 __all__ = [
     "FACES",
@@ -296,21 +297,49 @@ def decompose(
         for y0, y1 in ranges[1]
         for x0, x1 in ranges[0]
     ]
-    lo = np.array([box.lo for box in owned])
-    last = np.array([box.hi for box in owned]) - 1
-
-    # the region lies inside the owned box padded by the overlap and clipped
-    # to the grid; cut it from there by each point's L1 distance to the box
-    extended_indices = []
-    for first, end in zip(lo, last):
-        pad_lo = np.maximum(first - overlap, 0)
-        pad_hi = np.minimum(end + 1 + overlap, grid.shape)
-        dx, dy, dz = (
-            _gap(first[d], end[d], c, c)
-            for d, c in enumerate(map(np.arange, pad_lo, pad_hi))
-        )
-        distance = dx + dy[:, None] + dz[:, None, None]
-        extended_indices.append(_box_indices(grid, pad_lo, pad_hi)[distance <= overlap])
+    # A block's region is its owned box padded by the overlap and clipped to
+    # the grid, cut by each point's L1 distance to the box. Along an axis, a
+    # block-grid position fixes the padding kept below the box, the box's
+    # width and the padding kept above it. Blocks alike on all three axes
+    # have the same region up to a shift, so one mask per such kind gives
+    # the region's offsets from its padded box's first point, and each block
+    # adds that point's global index. Per axis and kind: each padded
+    # coordinate's gap to the box and its index offset.
+    pad_lo, axis_kind, axis_gaps, axis_offsets = [], [], [], []
+    stride = 1
+    for axis_ranges, n in zip(ranges, grid.shape):
+        low = [max(first - overlap, 0) for first, _ in axis_ranges]
+        padding = [
+            (first - below, stop - first, min(stop + overlap, n) - stop)
+            for (first, stop), below in zip(axis_ranges, low)
+        ]
+        kinds = sorted(set(padding))
+        index = {kind: i for i, kind in enumerate(kinds)}
+        pad_lo.append(np.array(low))
+        axis_kind.append(np.array([index[kind] for kind in padding]))
+        axis_gaps.append([])
+        axis_offsets.append([])
+        for below, width, above in kinds:
+            c = np.arange(below + width + above)
+            axis_gaps[-1].append(_gap(below, below + width - 1, c, c))
+            axis_offsets[-1].append(c * stride)
+        stride *= n
+    counts = [len(kinds) for kinds in axis_gaps]
+    x, y, z = np.indices(block_grid[::-1]).reshape(3, -1)[::-1]  # x fastest
+    base = pad_lo[0][x] + grid.nx * (pad_lo[1][y] + grid.ny * pad_lo[2][z])
+    kind = axis_kind[0][x] + counts[0] * (axis_kind[1][y] + counts[1] * axis_kind[2][z])
+    members = np.argsort(kind, kind="stable")
+    ends = np.cumsum(np.bincount(kind, minlength=np.prod(counts)))
+    extended_indices = [None] * len(owned)
+    for (kz, ky, kx), blocks in zip(
+        itertools.product(*map(range, counts[::-1])), np.split(members, ends[:-1])
+    ):
+        dx, dy, dz = axis_gaps[0][kx], axis_gaps[1][ky], axis_gaps[2][kz]
+        ox, oy, oz = axis_offsets[0][kx], axis_offsets[1][ky], axis_offsets[2][kz]
+        inside = dx + dy[:, None] + dz[:, None, None] <= overlap
+        offsets = (ox + oy[:, None] + oz[:, None, None])[inside]
+        for blk, region in zip(blocks.tolist(), base[blocks, None] + offsets):
+            extended_indices[blk] = region
 
     # Blocks three or more block-grid steps apart on an axis have two whole
     # ranges between them there, each wider than the overlap, so their gap
@@ -373,13 +402,15 @@ def batches(counts) -> list[range]:
 
 def block_system(
     problem: LinearProblem, decomp: BlockDecomposition
-) -> list[tuple[SparseMatrix, SparseMatrix, np.ndarray]]:
+) -> list[tuple[CsrParts, CsrParts, np.ndarray]]:
     """Extract every block's local system from the global operator.
 
-    Entry b is ``(a_ii, coupling, halo_cols)``: the principal submatrix of A
-    on block b's extended region, the sorted global indices of the outside
-    columns those rows touch (the block's halo dependency set), and the
-    extended rows of A restricted to those columns.
+    Entry b is ``(a_ii, coupling, halo_cols)``: the CSR parts of the
+    principal submatrix of A on block b's extended region, the CSR parts of
+    A's extended rows restricted to the outside columns they touch, and
+    those columns' sorted global indices (the block's halo dependency set).
+    No matrix is built here: ``CsrParts.matrix()`` builds and checks one
+    when a solver needs it.
 
     Blocks are extracted in ``batches`` of their extended rows' matrix
     entries. A batch gathers A's rows over its stacked extended indices in
@@ -389,54 +420,103 @@ def block_system(
     a position below the block's first row lies outside its region. One
     ``np.unique`` of the (block, column) keys of the batch's outside entries
     gives every block's halo columns and each such entry's place among them.
-    Each block's matrices are views of the batch's arrays; every region and
-    halo set is sorted, so each row's columns stay increasing.
+    Every part of every block is a view of the batch's arrays. One check of
+    the whole batch stands in for checking each ``a_ii``: every row's
+    columns must be in range and strictly increasing, which holds when every
+    region is sorted; otherwise the lowest failing block raises ValueError.
+    A coupling's columns are positions in the sorted halo columns, so they
+    hold these invariants whatever the regions.
     """
     csr = problem.matrix.csr
     n = csr.shape[1]
-    row_entries = np.diff(csr.indptr)
     exts = decomp.extended_indices
     ext_start = np.concatenate(([0], np.cumsum([ext.shape[0] for ext in exts])))
+    row_entries = np.diff(csr.indptr)
     position = np.full(n, -1)
     systems = []
     for run in batches([int(row_entries[ext].sum()) for ext in exts]):
+        count = len(run)
         row_start = ext_start[run.start : run.stop + 1] - ext_start[run.start]
         gathered = csr[np.concatenate(exts[run.start : run.stop])]
         entry_start = gathered.indptr[row_start]
         # each entry's column as a position in its block's region, or < 0
         local = np.empty(gathered.nnz, dtype=np.int64)
-        for i, blk in enumerate(run):
-            e0, e1 = entry_start[i], entry_start[i + 1]
-            position[exts[blk]] = np.arange(ext_start[blk], ext_start[blk + 1])
+        for blk, e0, e1 in zip(run, entry_start[:-1].tolist(), entry_start[1:].tolist()):
+            first = ext_start[blk]
+            position[exts[blk]] = np.arange(first, ext_start[blk + 1])
             np.take(position, gathered.indices[e0:e1], out=local[e0:e1])
-            local[e0:e1] -= ext_start[blk]
+            local[e0:e1] -= first
+        num_rows = gathered.shape[0]
+        row_sizes = np.diff(row_start)
+        row_block = np.repeat(np.arange(count), row_sizes)
         outside = np.flatnonzero(local < 0)
-        out_ptr = np.zeros(gathered.shape[0] + 1, dtype=np.int64)
+        out_ptr = np.zeros(num_rows + 1, dtype=np.int64)
         out_row = np.searchsorted(gathered.indptr, outside, side="right") - 1
-        np.cumsum(np.bincount(out_row, minlength=gathered.shape[0]), out=out_ptr[1:])
+        np.cumsum(np.bincount(out_row, minlength=num_rows), out=out_ptr[1:])
         in_ptr = gathered.indptr - out_ptr
         inside = local >= 0
         in_cols = local[inside].astype(np.int32)
         in_vals = gathered.data[inside]
-        out_block = np.searchsorted(entry_start, outside, side="right") - 1
+        out_block = row_block[out_row]
         halo_keys, halo_pos = np.unique(
             out_block * n + gathered.indices[outside], return_inverse=True
         )
-        halo_start = np.searchsorted(halo_keys, np.arange(len(run) + 1) * n)
+        halo_start = np.searchsorted(halo_keys, np.arange(count + 1) * n)
+        halo_cols = halo_keys - np.repeat(np.arange(count) * n, np.diff(halo_start))
         out_cols = (halo_pos - halo_start[out_block]).astype(np.int32)
         out_vals = gathered.data[outside]
-        for i in range(len(run)):
-            r0, r1 = row_start[i], row_start[i + 1]
-            h0, h1 = halo_start[i], halo_start[i + 1]
-            ip, op = in_ptr[r0 : r1 + 1], out_ptr[r0 : r1 + 1]
-            a_ii = scipy.sparse.csr_array(
-                (in_vals[ip[0] : ip[-1]], in_cols[ip[0] : ip[-1]], (ip - ip[0]).astype(np.int32)),
-                shape=(r1 - r0, r1 - r0),
+        # rows are in block order, so the lowest failing row names the block;
+        # coupling columns index the sorted halo columns, so they rise with
+        # A's own and need no check
+        failed = _failing_rows(in_cols, in_ptr, row_sizes[row_block])
+        if failed.any():
+            raise ValueError(
+                f"block {run.start + row_block[np.argmax(failed)]}: columns of its "
+                "system out of range or not strictly increasing in some row"
             )
-            coupling = scipy.sparse.csr_array(
-                (out_vals[op[0] : op[-1]], out_cols[op[0] : op[-1]], (op - op[0]).astype(np.int32)),
-                shape=(r1 - r0, h1 - h0),
+
+        # block i's indptr holds its rows' bounds, row_start[i] to
+        # row_start[i + 1], rebased to 0: one more entry than it has rows
+        bound = np.arange(num_rows + count) - np.repeat(np.arange(count), row_sizes + 1)
+        base = np.repeat(row_start[:-1], row_sizes + 1)
+        in_ptrs = (in_ptr[bound] - in_ptr[base]).astype(np.int32)
+        out_ptrs = (out_ptr[bound] - out_ptr[base]).astype(np.int32)
+        rows, ins, outs, halos = (
+            v.tolist() for v in (row_start, in_ptr[row_start], out_ptr[row_start], halo_start)
+        )
+        for i in range(count):
+            size = rows[i + 1] - rows[i]
+            ptrs = slice(rows[i] + i, rows[i + 1] + i + 1)
+            a_ii = slice(ins[i], ins[i + 1])
+            coupling = slice(outs[i], outs[i + 1])
+            halo = slice(halos[i], halos[i + 1])
+            systems.append(
+                (
+                    CsrParts(in_vals[a_ii], in_cols[a_ii], in_ptrs[ptrs], (size, size)),
+                    CsrParts(
+                        out_vals[coupling], out_cols[coupling], out_ptrs[ptrs],
+                        (size, halos[i + 1] - halos[i]),
+                    ),
+                    halo_cols[halo],
+                )
             )
-            halo_cols = halo_keys[h0:h1] - i * n
-            systems.append((SparseMatrix(a_ii), SparseMatrix(coupling), halo_cols))
     return systems
+
+
+def _failing_rows(cols: np.ndarray, indptr: np.ndarray, row_cols: np.ndarray) -> np.ndarray:
+    """Which rows of stacked CSR parts break the CSR invariants: a column
+    outside [0, row_cols) of its row, or one not above the column before it
+    in the row."""
+    starts, ends = indptr[:-1], indptr[1:]
+    if cols.size == 0:
+        return np.zeros(starts.shape[0], dtype=bool)
+    # a row whose columns rise is in range when its first and last are
+    first, last = cols[np.minimum(starts, cols.size - 1)], cols[np.maximum(ends - 1, 0)]
+    failed = (starts < ends) & ((first < 0) | (last >= row_cols))
+    # entry k rises when it starts a row or exceeds entry k - 1
+    rises = np.empty(cols.size + 1, dtype=bool)
+    rises[1:-1] = cols[1:] > cols[:-1]
+    rises[indptr] = True
+    if not rises.all():
+        failed[np.searchsorted(indptr, np.flatnonzero(~rises), side="right") - 1] = True
+    return failed

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blocksolve import multisplit, problems
-from blocksolve.linalg import SparseMatrix
+from blocksolve.linalg import CsrParts
 
 
 def count_symmetry_classes(shape, block_grid, overlap=1):
@@ -69,6 +69,40 @@ def sync_iterates():
     return truncated_iterates
 
 
+def per_block_regions(grid, owned, overlap):
+    """Every block's extended region, built one block at a time, and the
+    cover counts.
+
+    A plain reference for ``problems.decompose``: each owned box is padded
+    by the overlap and clipped to the grid, and the points of the padded box
+    within L1 distance ``overlap`` of the owned box are kept.
+    """
+    regions = []
+    for box in owned:
+        first, last = np.array(box.lo), np.array(box.hi) - 1
+        pad_lo = np.maximum(first - overlap, 0)
+        pad_hi = np.minimum(last + 1 + overlap, grid.shape)
+        x, y, z = (np.arange(pad_lo[d], pad_hi[d], dtype=np.int64) for d in range(3))
+        dx, dy, dz = (
+            np.maximum(np.maximum(first[d] - c, c - last[d]), 0) for d, c in enumerate((x, y, z))
+        )
+        distance = dx + dy[:, None] + dz[:, None, None]
+        indices = x + grid.nx * (y[:, None] + grid.ny * z[:, None, None])
+        regions.append(indices[distance <= overlap])
+    return regions, np.bincount(np.concatenate(regions), minlength=grid.num_unknowns)
+
+
+@pytest.fixture
+def reference_regions():
+    """The per-block reference builder of the extended regions."""
+    return per_block_regions
+
+
+def csr_parts(csr):
+    """A scipy CSR matrix's arrays, as the workspaces hold them."""
+    return CsrParts(csr.data, csr.indices, csr.indptr, csr.shape)
+
+
 def per_block_workspaces(problem, decomp):
     """Every block's workspace built one block and one neighbor at a time.
 
@@ -115,8 +149,8 @@ def per_block_workspaces(problem, decomp):
             multisplit.BlockWorkspace(
                 block_id=blk,
                 ext=ext,
-                a_ii=SparseMatrix(rows[:, ext]),
-                coupling=SparseMatrix(rows[:, halo_cols]),
+                a_ii_parts=csr_parts(rows[:, ext]),
+                coupling_parts=csr_parts(rows[:, halo_cols]),
                 halo_cols=halo_cols,
                 b_ext=b[ext].copy(),
                 residual_scale=float(np.linalg.norm(b[owned_glob[blk]])) or b_global_norm,

@@ -120,8 +120,8 @@ def test_criterion_2_degeneration_equivalences(sync_iterates):
         [(a_block, coupling, halo_cols)] = block_system(
             problem, decompose(problem.grid, (1, 1, 1))
         )
-        assert coupling.nnz == 0 and halo_cols.size == 0
-        _, report_block = prepare(spec, a_block)(problem.rhs, np.zeros(n))
+        assert coupling.matrix().nnz == 0 and halo_cols.size == 0
+        _, report_block = prepare(spec, a_block.matrix())(problem.rhs, np.zeros(n))
         assert report_block.residual_history == report_plain.residual_history
 
         # (b) one-unknown blocks + exact inner solve == point Jacobi

@@ -8,12 +8,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from blocksolve import multisplit
 from blocksolve.comm import DelayModel
 from blocksolve.errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec
-from blocksolve.linalg import SparseMatrix, dense_solve, power_iteration
+from blocksolve.linalg import CsrParts, SparseMatrix, dense_solve, power_iteration
 from blocksolve.multisplit import (
     OuterConfig,
     ResidualTrace,
@@ -132,19 +133,71 @@ class TestBuildWorkspaceGuards:
             build_workspaces(problem, decomp)
 
 
+def swap_first_two_points(decomp, *blocks):
+    """A copy of the decomposition whose regions of ``blocks`` list their
+    first two points in swapped order."""
+    exts = [ext.copy() for ext in decomp.extended_indices]
+    for blk in blocks:
+        exts[blk][[0, 1]] = exts[blk][[1, 0]]
+    return replace(decomp, extended_indices=exts)
+
+
+class TestBlockSystemCheck:
+    """One check per set-up batch stands in for checking every block matrix:
+    each row's columns in range and strictly increasing."""
+
+    def test_unsorted_region_names_its_block(self):
+        problem = make_problem(24)
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        with pytest.raises(ValueError, match="^block 5: columns"):
+            build_workspaces(problem, swap_first_two_points(decomp, 5))
+        # the lowest failing block is named, in its batch or a later one
+        for corrupt in [(5, 9), (9, 5), (5, 40)]:
+            with pytest.raises(ValueError, match="^block 5: columns"):
+                build_workspaces(problem, swap_first_two_points(decomp, *corrupt))
+        assert len(batch_sizes(problem, decomp)) > 1
+
+    def test_set_up_builds_no_block_matrix(self, monkeypatch):
+        problem = make_problem(24)
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        built = count_matrices(monkeypatch)
+        workspaces = build_workspaces(problem, decomp)
+        assert built == []
+        # each block matrix is built and checked once, on first use
+        assert workspaces[5].a_ii is workspaces[5].a_ii
+        assert built == [workspaces[5].a_ii_parts.shape]
+
+
+def count_matrices(monkeypatch):
+    """The shapes of every ``SparseMatrix`` built from now on."""
+    original = SparseMatrix.__post_init__
+    built = []
+
+    def counting(matrix):
+        built.append(matrix.shape)
+        original(matrix)
+
+    monkeypatch.setattr(SparseMatrix, "__post_init__", counting)
+    return built
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
 
 def assert_same_workspace(got, want):
-    """Every field equal, dtypes included; matrices array by array."""
-    for field in fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    """Every field equal, dtypes included; matrices array by array, as CSR
+    parts and once built."""
+    names = [field.name for field in fields(want)] + ["a_ii", "coupling"]
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, SparseMatrix):
-            assert a.shape == b.shape
+            a, b = a.csr, b.csr
+        if isinstance(b, (CsrParts, scipy.sparse.csr_array)):
+            assert a.shape == b.shape, name
             for part in ("indptr", "indices", "data"):
-                assert_same_array(getattr(a.csr, part), getattr(b.csr, part))
+                assert_same_array(getattr(a, part), getattr(b, part))
         elif isinstance(b, np.ndarray):
             assert_same_array(a, b)
         elif isinstance(b, dict):
@@ -152,7 +205,7 @@ def assert_same_workspace(got, want):
             for key in b:
                 assert_same_array(a[key], b[key])
         else:
-            assert type(a) is type(b) and a == b, field.name
+            assert type(a) is type(b) and a == b, name
             if isinstance(b, list):
                 assert [type(x) for x in a] == [type(x) for x in b]
 
@@ -970,6 +1023,28 @@ class TestSharedDirectFactors:
             outer_solve(singular, SLAB_DIRECT)
         assert (err.value.block_id, err.value.outer_iteration) == (2, 0)
         assert factored == [64, 80, 80]
+
+
+class TestMatricesBuiltInTheSolve:
+    """A synchronous replay solve builds the stacked coupling and the block
+    matrices its solvers read: one per direct factor, every ``a_ii`` for the
+    iterative kinds. Set-up builds none."""
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_one_matrix_per_prepared_solver(self, monkeypatch, kind, distinct_block_matrices):
+        problem = make_problem(24)
+        config = OuterConfig(
+            block_grid=(4, 4, 4), overlap=1, inner=InnerSolverSpec(kind, 5), max_outer=2
+        )
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        stacked_rows = sum(ext.size for ext in decomp.extended_indices)
+        solvers = distinct_block_matrices((24, 24, 24), (4, 4, 4)) if kind == "direct" else 64
+        built = count_matrices(monkeypatch)
+        assert outer_solve(problem, config).outer_iterations == 2
+        # besides the solvers' matrices, only the stacked coupling: every
+        # block's extended rows by the grid's columns
+        assert len(built) == solvers + 1
+        assert built.count((stacked_rows, 24**3)) == 1
 
 
 class TestBatchedDirectSweep:

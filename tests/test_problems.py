@@ -256,6 +256,16 @@ def brute_force_decomposition(grid, owned, overlap):
     return indices, cover, neighbors
 
 
+def assert_same_regions(decomp, regions, cover):
+    """The decomposition's regions and cover counts are the given ones, byte
+    for byte."""
+    assert len(decomp.extended_indices) == len(regions)
+    for got, want in zip(decomp.extended_indices, regions):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert decomp.cover_counts.dtype == cover.dtype == np.int64
+    assert np.array_equal(decomp.cover_counts, cover)
+
+
 class TestDecomposeOracle:
     @pytest.mark.parametrize(
         "shape,blocks,overlap",
@@ -298,6 +308,36 @@ class TestDecomposeOracle:
             for b, row in enumerate(gap)
         ]
 
+    @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape,blocks",
+        [((31, 13, 11), (7, 3, 2)), ((20, 8, 29), (5, 1, 6)), ((24, 24, 24), (6, 6, 6))],
+    )
+    def test_regions_match_the_per_block_rule(self, shape, blocks, overlap, reference_regions):
+        # uneven splits, an axis with one block, and block grids wider than
+        # the padding on every side
+        grid = Grid3D(*shape)
+        decomp = decompose(grid, blocks, overlap)
+        assert_same_regions(decomp, *reference_regions(grid, decomp.owned, overlap))
+
+    def test_regions_of_blocks_touching_0_to_6_faces(self, reference_regions):
+        grid = Grid3D(9, 7, 8)
+        touched = set()
+        for blocks in [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 3, 3), (3, 3, 3), (2, 3, 1)]:
+            for overlap in (0, 1):
+                decomp = decompose(grid, blocks, overlap)
+                assert_same_regions(decomp, *reference_regions(grid, decomp.owned, overlap))
+            touched |= {
+                sum((box.lo[d] == 0) + (box.hi[d] == grid.shape[d]) for d in range(3))
+                for box in decomp.owned
+            }
+        assert touched == set(range(7))
+
+    def test_regions_of_4096_blocks(self, reference_regions):
+        grid = Grid3D(32, 32, 32)
+        decomp = decompose(grid, (16, 16, 16), 1)
+        assert_same_regions(decomp, *reference_regions(grid, decomp.owned, 1))
+
     def test_neighbors_across_a_narrow_block(self):
         # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
         # reach x = 2 and x = 3, one stencil step apart
@@ -334,8 +374,8 @@ class TestBlockSystem:
         problem = build_laplace_3d(Grid3D(3, 3, 3))
         decomp = decompose(problem.grid, (1, 1, 1))
         [(a_ii, coupling, halo_cols)] = block_system(problem, decomp)
-        assert np.array_equal(a_ii.to_dense(), problem.matrix.to_dense())
-        assert coupling.shape == (27, 0) and coupling.nnz == 0
+        assert np.array_equal(a_ii.matrix().to_dense(), problem.matrix.to_dense())
+        assert coupling.shape == (27, 0) and coupling.matrix().nnz == 0
         assert halo_cols.size == 0
 
     def test_chain_split_in_two(self):
@@ -343,22 +383,22 @@ class TestBlockSystem:
         decomp = decompose(problem.grid, (2, 1, 1))
         expected = np.array([[6.0, -1.0], [-1.0, 6.0]])
         (a0, c0, h0), (a1, c1, h1) = block_system(problem, decomp)
-        assert np.array_equal(a0.to_dense(), expected)
-        assert np.array_equal(a1.to_dense(), expected)
+        assert np.array_equal(a0.matrix().to_dense(), expected)
+        assert np.array_equal(a1.matrix().to_dense(), expected)
         # block 0's local row 1 couples to global column 2 with -1, and
         # block 1's local row 0 to global column 1
-        assert np.array_equal(h0, [2]) and np.array_equal(c0.to_dense(), [[0.0], [-1.0]])
-        assert np.array_equal(h1, [1]) and np.array_equal(c1.to_dense(), [[-1.0], [0.0]])
+        assert np.array_equal(h0, [2]) and np.array_equal(c0.matrix().to_dense(), [[0.0], [-1.0]])
+        assert np.array_equal(h1, [1]) and np.array_equal(c1.matrix().to_dense(), [[-1.0], [0.0]])
 
     def test_chain_with_overlap(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1), overlap=1)
         a0, c0, h0 = block_system(problem, decomp)[0]
-        assert a0.num_rows == 3
+        assert a0.shape[0] == 3
         expected = np.array([[6.0, -1, 0], [-1, 6, -1], [0, -1, 6]])
-        assert np.array_equal(a0.to_dense(), expected)
+        assert np.array_equal(a0.matrix().to_dense(), expected)
         assert np.array_equal(h0, [3])
-        assert np.array_equal(c0.to_dense(), [[0.0], [0.0], [-1.0]])
+        assert np.array_equal(c0.matrix().to_dense(), [[0.0], [0.0], [-1.0]])
 
     @pytest.mark.parametrize("blocks", [(2, 1, 1), (2, 2, 1), (1, 2, 2)])
     def test_slice_oracle(self, blocks):
@@ -368,7 +408,7 @@ class TestBlockSystem:
         for ext, (a_ii, coupling, halo_cols) in zip(
             decomp.extended_indices, block_system(problem, decomp)
         ):
-            assert np.array_equal(a_ii.to_dense(), dense[np.ix_(ext, ext)])
+            assert np.array_equal(a_ii.matrix().to_dense(), dense[np.ix_(ext, ext)])
             outside = dense[ext].copy()
             outside[:, ext] = 0.0
             # the halo is exactly the outside columns the extended rows touch
@@ -376,8 +416,8 @@ class TestBlockSystem:
             assert coupling.shape == (ext.size, halo_cols.size)
             # a_ii, coupling and halo_cols rebuild A's extended rows exactly
             rebuilt = np.zeros_like(outside)
-            rebuilt[:, ext] = a_ii.to_dense()
-            rebuilt[:, halo_cols] = coupling.to_dense()
+            rebuilt[:, ext] = a_ii.matrix().to_dense()
+            rebuilt[:, halo_cols] = coupling.matrix().to_dense()
             assert np.array_equal(rebuilt, dense[ext])
 
     def test_zero_overlap_reconstruction(self):
@@ -387,6 +427,6 @@ class TestBlockSystem:
         for ext, (a_ii, coupling, halo_cols) in zip(
             decomp.extended_indices, block_system(problem, decomp)
         ):
-            rebuilt[np.ix_(ext, ext)] += a_ii.to_dense()
-            rebuilt[np.ix_(ext, halo_cols)] += coupling.to_dense()
+            rebuilt[np.ix_(ext, ext)] += a_ii.matrix().to_dense()
+            rebuilt[np.ix_(ext, halo_cols)] += coupling.matrix().to_dense()
         assert np.array_equal(rebuilt, problem.matrix.to_dense())
