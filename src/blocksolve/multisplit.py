@@ -24,6 +24,10 @@ segment norms of one global residual. Asynchronous replay runs one generator
 worker per block in deterministic round-robin. In both, trace timestamps are
 iteration counts. Threaded execution runs one generator worker per block on
 its own thread against wall-clock time.
+
+Set-up builds each block's system (``build_workspaces``). Only the per-block
+workers exchange payloads, so they alone build the payload maps
+(``build_links``), once per solve.
 """
 
 from __future__ import annotations
@@ -55,11 +59,13 @@ __all__ = [
     "OuterConfig",
     "BlockState",
     "BlockWorkspace",
+    "BlockLinks",
     "TraceRow",
     "ResidualTrace",
     "SolveResult",
     "TRACE_HEADER",
     "build_workspaces",
+    "build_links",
     "assemble_block_rhs",
     "merge_overlap",
     "local_relative_residual",
@@ -122,7 +128,7 @@ class OuterConfig:
 class BlockState:
     """Mutable per-worker solve state.
 
-    ``values`` is the workspace's merge value sequence: each source block's
+    ``values`` is the links' merge value sequence: each source block's
     latest values at the points this block tracks, one segment per source in
     ascending block id. The block's own inner-solve values at its shared
     points fill its own segment.
@@ -136,20 +142,13 @@ class BlockState:
 
 @dataclass
 class BlockWorkspace:
-    """Immutable per-block geometry, operators and payload index maps.
+    """Immutable per-block geometry and operators: the block's system, which
+    synchronous replay and the per-block workers both read.
 
     The block's ``a_ii`` and ``coupling`` are held as the CSR parts
     ``block_system`` extracted, views of its batch arrays; each
-    ``SparseMatrix`` is built and checked the first time it is read.
-
-    The block tracks the points it needs from other blocks in one ordering:
-    its halo columns first, then its shared points (the non-owned part of
-    the extended region). The merge reads one value sequence with a segment
-    per source block, in ascending block id: a neighbor's segment is its
-    payload, and the block's own segment, at its own place among them, is
-    its values at its shared points. ``merge_slots`` gives the tracked slot
-    of every value in that sequence and ``owner_pick`` the position, per
-    tracked point, of the value sent by the point's owning block.
+    ``SparseMatrix`` is built and checked the first time it is read. The
+    payload maps only the per-block workers read are a ``BlockLinks``.
     """
 
     block_id: int
@@ -162,13 +161,6 @@ class BlockWorkspace:
     owned_global: np.ndarray
     owned_local: np.ndarray
     shared_local: np.ndarray  # non-owned positions of the extended region
-    cover: np.ndarray  # covering-block counts per tracked point
-    neighbors: list[int]
-    send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
-    sources: list[int]  # this block and its neighbors, in ascending id
-    segments: list[slice]  # each source's part of the merge value sequence
-    merge_slots: np.ndarray  # tracked slot of each merged value
-    owner_pick: np.ndarray  # merged-value position of each tracked point's owner
 
     @property
     def n_local(self) -> int:
@@ -194,10 +186,33 @@ class BlockWorkspace:
     def coupling_owned(self) -> SparseMatrix:
         return SparseMatrix(self.coupling.csr[self.owned_local])
 
-    def initial_state(self) -> BlockState:
+
+@dataclass
+class BlockLinks:
+    """A per-block worker's payload index maps, built by ``build_links``.
+
+    The block tracks the points it needs from other blocks in one ordering:
+    its halo columns first, then its shared points (the non-owned part of
+    the extended region). The merge reads one value sequence with a segment
+    per source block, in ascending block id: a neighbor's segment is its
+    payload, and the block's own segment, at its own place among them, is
+    its values at its shared points. ``merge_slots`` gives the tracked slot
+    of every value in that sequence and ``owner_pick`` the position, per
+    tracked point, of the value sent by the point's owning block.
+    """
+
+    cover: np.ndarray  # covering-block counts per tracked point
+    neighbors: list[int]
+    send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
+    sources: list[int]  # this block and its neighbors, in ascending id
+    segments: list[slice]  # each source's part of the merge value sequence
+    merge_slots: np.ndarray  # tracked slot of each merged value
+    owner_pick: np.ndarray  # merged-value position of each tracked point's owner
+
+    def initial_state(self, ws: BlockWorkspace) -> BlockState:
         return BlockState(
-            x_local=np.zeros(self.n_local),
-            halo_values=np.zeros(self.halo_cols.shape[0]),
+            x_local=np.zeros(ws.n_local),
+            halo_values=np.zeros(ws.halo_cols.shape[0]),
             values=np.zeros(self.merge_slots.shape[0]),
             applied=np.full(len(self.sources), -1),
         )
@@ -214,55 +229,34 @@ _GUARDS = (
 def build_workspaces(
     problem: LinearProblem, decomp: BlockDecomposition
 ) -> list[BlockWorkspace]:
-    """Precompute every block's local system and payload index maps.
-
-    A payload from block s to block t carries s's values at the points t
-    tracks: t's coupled halo columns plus the shared (overlapping) part of
-    t's extended region, in global index order. Coverage and ownership of
-    every tracked point are validated here; a gap indicates a
-    decomposition/neighbor-list bug and raises ProtocolError.
-
-    The maps are built over the same ``batches`` of consecutive blocks as
-    ``block_system``. A batch lists every (tracked point, covering block)
-    pair: a point's covering blocks, in ascending id, and its position in
-    each of their regions come from one stable argsort of all stacked
-    extended indices, never from ``cover_counts``. The pairs whose covering
-    block is the tracking block or one of its neighbors, sorted by (tracking
-    block, source block, point), are the batch's merge value sequences, and
-    each source's run in them is its payload. Before any map is taken from
-    them, whole-array checks compare the batch with the decomposition: each
-    owned box lies in its region, each coupled column is covered,
-    ``cover_counts`` equals the pairs found and each point has exactly one
-    owning source. The lowest failing block raises, naming its first failed
-    check.
+    """Precompute every block's local system, over the same ``batches`` of
+    consecutive blocks as ``block_system``. No neighbor list is read and no
+    payload map built; ``build_links`` builds those. Whole-array checks
+    compare each batch with the decomposition: each owned box lies in its
+    region, each coupled column is covered, and at each point a block tracks
+    (its halo columns and shared points) ``cover_counts`` is the number of
+    regions holding it and exactly one owned box holds it. The lowest
+    failing block raises ProtocolError, naming its first failed check.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b)) or 1.0
     grid = decomp.grid
-    num_blocks = decomp.num_blocks
     exts = decomp.extended_indices
     systems = block_system(problem, decomp)
 
-    sizes = np.array([ext.shape[0] for ext in exts])
-    ext_start = np.concatenate(([0], np.cumsum(sizes)))
-    # the copies of point p, in ascending block id, are at the stacked
-    # positions order[first[p]:first[p + 1]]
-    stacked = np.concatenate(exts)
-    order = np.argsort(stacked, kind="stable")
-    first = np.concatenate(([0], np.cumsum(np.bincount(stacked, minlength=b.shape[0]))))
-    del stacked
+    ext_start = np.concatenate(([0], np.cumsum([ext.shape[0] for ext in exts])))
     owner_of = np.full((grid.nz, grid.ny, grid.nx), -1)
+    owners = np.zeros_like(owner_of)
     for blk, box in enumerate(decomp.owned):
-        owner_of[box.lo[2] : box.hi[2], box.lo[1] : box.hi[1], box.lo[0] : box.hi[0]] = blk
+        inside = tuple(slice(lo, hi) for lo, hi in zip(box.lo[::-1], box.hi[::-1]))
+        owner_of[inside] = blk
+        owners[inside] += 1
     owner_of = owner_of.ravel()
     box_size = np.array([box.size for box in decomp.owned])
-    # (block, neighbor) links, sorted, then one past the largest possible
-    neighbor_link = np.repeat(
-        np.arange(num_blocks) * num_blocks, [len(nbrs) for nbrs in decomp.neighbors]
-    ) + np.fromiter(itertools.chain.from_iterable(decomp.neighbors), dtype=np.int64)
-    neighbor_link = np.append(np.sort(neighbor_link), num_blocks**2)
-    # filled by the receiving block's batch, which may come after the sender's
-    send_idx: list[dict[int, np.ndarray]] = [{} for _ in exts]
+    # the points whose payload maps could not be built: their covering count
+    # is not the number of regions that hold them, or not one box owns them
+    miscounted = decomp.cover_counts != np.bincount(np.concatenate(exts), minlength=b.shape[0])
+    misowned = owners.ravel() != 1
 
     workspaces: list[BlockWorkspace] = []
     for run in batches([a.data.size + coupling.data.size for a, coupling, _ in systems]):
@@ -277,46 +271,14 @@ def build_workspaces(
         own_start = np.concatenate(([0], np.cumsum(owned_count)))
         shared_start = row_start - own_start
         owned_global, owned_local = rows[owned], local_row[owned]
-        shared_global, shared_local = rows[~owned], local_row[~owned]
+        shared_local = local_row[~owned]
 
-        # tracked points, block by block: halo columns, then shared points
+        # tracked points, halo columns first, and their blocks
         halos = [systems[blk][2] for blk in run]
-        tracked = np.concatenate(
-            [
-                part
-                for i, halo in enumerate(halos)
-                for part in (halo, shared_global[shared_start[i] : shared_start[i + 1]])
-            ]
-        )
-        n_halo = np.array([halo.shape[0] for halo in halos])
-        track_start = np.concatenate(([0], np.cumsum(n_halo + np.diff(shared_start))))
-        track_block = np.repeat(np.arange(count), np.diff(track_start))
-        slot = np.arange(tracked.shape[0]) - track_start[track_block]
-        cover = decomp.cover_counts[tracked].astype(float)
-
-        # every (tracked point, covering block) pair, sorted by tracking
-        # block, then by the copy's stacked position: those run block by
-        # block and, inside a sorted region, in point order, so the pairs
-        # come sorted by (tracking block, source, point)
-        copies = first[tracked + 1] - first[tracked]
-        pair_track = np.repeat(np.arange(tracked.shape[0]), copies)
-        copy = order[
-            np.arange(pair_track.shape[0])
-            + np.repeat(first[tracked] - (np.cumsum(copies) - copies), copies)
-        ]
-        seq = np.argsort(track_block[pair_track] * ext_start[-1] + copy)
-        pair_track, copy = pair_track[seq], copy[seq]
-        source = np.searchsorted(ext_start, copy, side="right") - 1
-        tracker = blocks[track_block[pair_track]]
-        link = tracker * num_blocks + source
-        # the merge value sequences: the pairs whose source is the tracking
-        # block or one of its neighbors; the batch's links and the next one,
-        # so every search lands on a link
-        lo, hi = np.searchsorted(neighbor_link, [run.start * num_blocks, run.stop * num_blocks])
-        links = neighbor_link[lo : hi + 1]
-        keep = np.flatnonzero((source == tracker) | (links[np.searchsorted(links, link)] == link))
-        pair_track, copy, source, link = pair_track[keep], copy[keep], source[keep], link[keep]
-        from_owner = owner_of[tracked[pair_track]] == source
+        halo_block = np.repeat(np.arange(count), [halo.shape[0] for halo in halos])
+        tracked = np.concatenate(halos + [rows[~owned]])
+        track_block = np.concatenate((halo_block, row_block[~owned]))
+        is_halo = np.arange(tracked.shape[0]) < halo_block.shape[0]
 
         def failing(per_point):
             return np.bincount(track_block[per_point], minlength=count) > 0
@@ -324,9 +286,9 @@ def build_workspaces(
         failed = np.stack(
             [
                 owned_count != box_size[run.start : run.stop],
-                failing((slot < n_halo[track_block]) & (cover < 1)),
-                failing(np.bincount(pair_track, minlength=tracked.shape[0]) != cover),
-                failing(np.bincount(pair_track[from_owner], minlength=tracked.shape[0]) != 1),
+                failing(is_halo & (decomp.cover_counts[tracked] < 1)),
+                failing(miscounted[tracked]),
+                failing(misowned[tracked]),
             ],
             axis=1,
         )
@@ -334,37 +296,11 @@ def build_workspaces(
             i, guard = np.argwhere(failed)[0]
             raise ProtocolError(f"block {run.start + i}: {_GUARDS[guard]}")
 
-        merge_slots = slot[pair_track]
-        payload = copy - ext_start[source]
-        merge_start = np.searchsorted(link, np.arange(run.start, run.stop + 1) * num_blocks)
-        owner_pick = np.empty(tracked.shape[0], dtype=np.int64)
-        owner_pick[pair_track[from_owner]] = np.flatnonzero(from_owner) - merge_start[
-            track_block[pair_track[from_owner]]
-        ]
-        source_lists = [sorted([blk, *decomp.neighbors[blk]]) for blk in run]
-        source_start = iter(
-            np.searchsorted(
-                link, [blk * num_blocks + src for blk, srcs in zip(run, source_lists) for src in srcs]
-            ).tolist()
-        )
         b_ext, b_owned = b[rows], b[owned_global]
-        at_row, at_own, at_shared, at_track, at_merge = (
-            bounds.tolist()
-            for bounds in (row_start, own_start, shared_start, track_start, merge_start)
-        )
+        at_row, at_own, at_shared = (v.tolist() for v in (row_start, own_start, shared_start))
         for i, blk in enumerate(run):
             a_ii, coupling, halo_cols = systems[blk]
-            sources = source_lists[i]
-            m0, m1 = at_merge[i], at_merge[i + 1]
-            bounds = [next(source_start) - m0 for _ in sources] + [m1 - m0]
-            segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            shipped = payload[m0:m1]
-            for src, segment in zip(sources, segments):
-                if src != blk:
-                    send_idx[src][blk] = shipped[segment]
             own = slice(at_own[i], at_own[i + 1])
-            shared = slice(at_shared[i], at_shared[i + 1])
-            track = slice(at_track[i], at_track[i + 1])
             workspaces.append(
                 BlockWorkspace(
                     block_id=blk,
@@ -376,17 +312,67 @@ def build_workspaces(
                     residual_scale=float(np.linalg.norm(b_owned[own])) or b_global_norm,
                     owned_global=owned_global[own],
                     owned_local=owned_local[own],
-                    shared_local=shared_local[shared],
-                    cover=cover[track],
-                    neighbors=list(decomp.neighbors[blk]),
-                    send_idx=send_idx[blk],
-                    sources=sources,
-                    segments=segments,
-                    merge_slots=merge_slots[m0:m1],
-                    owner_pick=owner_pick[track],
+                    shared_local=shared_local[at_shared[i] : at_shared[i + 1]],
                 )
             )
     return workspaces
+
+
+def build_links(
+    workspaces: list[BlockWorkspace], decomp: BlockDecomposition
+) -> list[BlockLinks]:
+    """Every block's payload index maps, for the per-block workers.
+
+    A payload from block s to block t carries s's values at the points t
+    tracks, in global index order: one ``searchsorted`` of t's tracked
+    points in s's region per (block, neighbor) pair. ``build_workspaces``
+    checked each tracked point's covering count and owner, so the covering
+    blocks found among t and its neighbors must make up that count; else a
+    neighbor is missing from t's list, and the lowest such t raises
+    ProtocolError.
+    """
+    owner_of = np.full(decomp.cover_counts.shape[0], -1)
+    for ws in workspaces:
+        owner_of[ws.owned_global] = ws.block_id
+    send_idx: list[dict[int, np.ndarray]] = [{} for _ in workspaces]
+    links = []
+    for ws in workspaces:
+        blk = ws.block_id
+        n_halo = ws.halo_cols.shape[0]
+        tracked = np.concatenate((ws.halo_cols, ws.ext[ws.shared_local]))
+        slot_of = np.argsort(tracked)
+        points = tracked[slot_of]
+        sources = sorted([blk, *decomp.neighbors[blk]])
+        slots = []
+        for src in sources:
+            if src == blk:
+                slots.append(np.arange(n_halo, tracked.shape[0]))
+                continue
+            ext = workspaces[src].ext
+            pos = np.minimum(np.searchsorted(ext, points), ext.shape[0] - 1)
+            shipped = np.flatnonzero(ext[pos] == points)
+            send_idx[src][blk] = pos[shipped]
+            slots.append(slot_of[shipped])
+        merge_slots = np.concatenate(slots)
+        cover = decomp.cover_counts[tracked].astype(float)
+        if not np.array_equal(np.bincount(merge_slots, minlength=tracked.shape[0]), cover):
+            raise ProtocolError(f"block {blk}: {_GUARDS[2]}")
+        bounds = np.cumsum([0] + [s.shape[0] for s in slots]).tolist()
+        from_owner = np.flatnonzero(
+            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
+        )
+        links.append(
+            BlockLinks(
+                cover=cover,
+                neighbors=list(decomp.neighbors[blk]),
+                send_idx=send_idx[blk],
+                sources=sources,
+                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                merge_slots=merge_slots,
+                owner_pick=from_owner[np.argsort(merge_slots[from_owner])],
+            )
+        )
+    return links
 
 
 def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarray:
@@ -397,7 +383,7 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
     return rhs
 
 
-def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
+def merge_overlap(ws: BlockWorkspace, links: BlockLinks, state: BlockState) -> None:
     """Merge the stored source values into halo and overlap values.
 
     Every non-owned point the block tracks gets the equal-weight average of
@@ -407,13 +393,13 @@ def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     every point adds its covering blocks' values in block order, as
     ``_StackedBlocks.merge`` does.
     """
-    mean = np.bincount(ws.merge_slots, state.values, ws.cover.shape[0]) / ws.cover
+    mean = np.bincount(links.merge_slots, state.values, links.cover.shape[0]) / links.cover
     n_halo = ws.halo_cols.shape[0]
     state.halo_values = mean[:n_halo]
     state.x_local[ws.shared_local] = mean[n_halo:]
 
 
-def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
+def local_relative_residual(ws: BlockWorkspace, links: BlockLinks, state: BlockState) -> float:
     """Block-local relative residual over the block's owned rows.
 
     Numerator: the global residual restricted to owned rows, evaluated with
@@ -424,7 +410,7 @@ def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
     when the owned part is zero.
     """
     n_halo = ws.halo_cols.shape[0]
-    owner_values = state.values[ws.owner_pick]
+    owner_values = state.values[links.owner_pick]
     if ws.shared_local.size:
         x_view = state.x_local.copy()
         x_view[ws.shared_local] = owner_values[n_halo:]
@@ -535,12 +521,13 @@ class SolveResult:
 
 
 class _WorkerContext:
-    def __init__(self, workspace: BlockWorkspace, solver, fabric: Fabric, config: OuterConfig):
+    def __init__(self, workspace: BlockWorkspace, links: BlockLinks, solver, fabric, config):
         self.workspace = workspace
+        self.links = links
         self.solver = solver
         self.fabric = fabric
         self.config = config
-        self.state = workspace.initial_state()
+        self.state = links.initial_state(workspace)
         self.records: list[TraceRow] = []
         self.converged = False
         self.t0 = 0.0
@@ -678,26 +665,27 @@ def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
     return x, report
 
 
-def _apply_incoming(ws: BlockWorkspace, state: BlockState, incoming) -> float:
+def _apply_incoming(ws: BlockWorkspace, links: BlockLinks, state: BlockState, incoming) -> float:
     """Store the received halo payloads in their sources' segments, merge
     the overlap and return the block's new local relative residual."""
-    for i, src in enumerate(ws.sources):
+    for i, src in enumerate(links.sources):
         if src in incoming:
-            state.values[ws.segments[i]] = incoming[src].payload
+            state.values[links.segments[i]] = incoming[src].payload
             state.applied[i] = incoming[src].outer_iteration
-    merge_overlap(ws, state)
-    return local_relative_residual(ws, state)
+    merge_overlap(ws, links, state)
+    return local_relative_residual(ws, links, state)
 
 
 def _block_worker(ctx: _WorkerContext):
     """Generator running one block's outer loop; yields at every wait point
     and once per completed iteration."""
     ws = ctx.workspace
+    links = ctx.links
     fabric = ctx.fabric
     cfg = ctx.config
     state = ctx.state
     replay = cfg.execution == "replay"
-    own = ws.sources.index(ws.block_id)
+    own = links.sources.index(ws.block_id)
     k = 0
     while True:
         if fabric.stop_requested():
@@ -711,17 +699,17 @@ def _block_worker(ctx: _WorkerContext):
             ctx.solver, cfg.inner.kind, ws.block_id, k, rhs, state.x_local
         )
         state.x_local = x_new
-        state.values[ws.segments[own]] = x_new[ws.shared_local]
+        state.values[links.segments[own]] = x_new[ws.shared_local]
         state.applied[own] = k
 
-        outgoing = {nbr: x_new[ws.send_idx[nbr]] for nbr in ws.neighbors}
+        outgoing = {nbr: x_new[links.send_idx[nbr]] for nbr in links.neighbors}
         if cfg.mode == "sync":
             incoming = yield from fabric.halo_exchange_sync(
                 ws.block_id, outgoing, k
             )
         else:
             incoming = fabric.halo_exchange_async(ws.block_id, outgoing, k)
-        r_local = _apply_incoming(ws, state, incoming)
+        r_local = _apply_incoming(ws, links, state, incoming)
 
         if cfg.mode == "sync":
             total = yield from fabric.reduce_sync(ws.block_id, r_local**2, k)
@@ -750,7 +738,7 @@ def _block_worker(ctx: _WorkerContext):
                 flushed = yield from fabric.confirm_exchange(
                     ws.block_id, outgoing, k
                 )
-                r_local = _apply_incoming(ws, state, flushed)
+                r_local = _apply_incoming(ws, links, state, flushed)
                 confirmed = yield from fabric.confirm_round(
                     ws.block_id, r_local**2
                 )
@@ -1039,14 +1027,16 @@ def _run_workers(problem, decomp, workspaces, config):
 
     Returns (solution, rows, converged, events) with one trace row per
     outer iteration, combined over the blocks that ran it, and the fabric's
-    comm events (empty unless ``record_comm_events``).
+    comm events (empty unless ``record_comm_events``). The payload maps are
+    built here, before the fabric starts, since only these workers read them.
     """
+    links = build_links(workspaces, decomp)
     fabric = Fabric(
         decomp.num_blocks, config.mode, config.buffer_slots, config.delay,
         decomp.neighbors, config.record_comm_events,
     )
     solvers = _prepare_solvers(workspaces, config.inner, problem.grid)
-    contexts = [_WorkerContext(ws, s, fabric, config) for ws, s in zip(workspaces, solvers)]
+    contexts = [_WorkerContext(*args, fabric, config) for args in zip(workspaces, links, solvers)]
     if config.execution == "replay":
         samples = _run_replay(problem, workspaces, contexts, fabric, config)
     else:

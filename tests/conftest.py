@@ -104,12 +104,14 @@ def csr_parts(csr):
 
 
 def per_block_workspaces(problem, decomp):
-    """Every block's workspace built one block and one neighbor at a time.
+    """Every block's workspace and links, built one block and one neighbor
+    at a time: two lists, in block order.
 
-    A plain reference for ``multisplit.build_workspaces``: each block's rows
-    of A are taken with scipy's fancy indexing (``A[ext][:, ext]`` and the
-    outside columns they touch), and each neighbor's payload map with one
-    ``searchsorted`` of the tracked points in the neighbor's region.
+    A plain reference for ``multisplit.build_workspaces`` and
+    ``multisplit.build_links``: each block's rows of A are taken with
+    scipy's fancy indexing (``A[ext][:, ext]`` and the outside columns they
+    touch), and each neighbor's payload map with one ``np.intersect1d`` of
+    the tracked points and the neighbor's region.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b)) or 1.0
@@ -119,7 +121,7 @@ def per_block_workspaces(problem, decomp):
     for blk, owned in enumerate(owned_glob):
         owner_of[owned] = blk
     send_idx = [{} for _ in exts]
-    workspaces = []
+    workspaces, links = [], []
     for blk, ext in enumerate(exts):
         rows = problem.matrix.csr[ext]
         outside = np.setdiff1d(rows.indices, ext)
@@ -127,24 +129,23 @@ def per_block_workspaces(problem, decomp):
         owned_local = np.searchsorted(ext, owned_glob[blk])
         shared_local = np.setdiff1d(np.arange(ext.shape[0]), owned_local)
         tracked = np.concatenate((halo_cols, ext[shared_local]))
-        slot_of = np.argsort(tracked)
-        points = tracked[slot_of]
         sources = sorted([blk, *decomp.neighbors[blk]])
         slots = []
         for src in sources:
             if src == blk:
                 slots.append(np.arange(halo_cols.shape[0], tracked.shape[0]))
                 continue
-            src_ext = exts[src]
-            pos = np.minimum(np.searchsorted(src_ext, points), src_ext.shape[0] - 1)
-            shipped = np.flatnonzero(src_ext[pos] == points)
-            send_idx[src][blk] = pos[shipped]
-            slots.append(slot_of[shipped])
+            # the common points in global index order, with their places
+            _, shipped, slot = np.intersect1d(
+                exts[src], tracked, assume_unique=True, return_indices=True
+            )
+            send_idx[src][blk] = shipped
+            slots.append(slot)
         bounds = np.cumsum([0] + [len(s) for s in slots]).tolist()
         merge_slots = np.concatenate(slots)
-        from_owner = np.flatnonzero(
-            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
-        )
+        is_owner = owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
+        owner_pick = np.full(tracked.shape[0], -1)
+        owner_pick[merge_slots[is_owner]] = np.flatnonzero(is_owner)
         workspaces.append(
             multisplit.BlockWorkspace(
                 block_id=blk,
@@ -157,19 +158,23 @@ def per_block_workspaces(problem, decomp):
                 owned_global=owned_glob[blk],
                 owned_local=owned_local,
                 shared_local=shared_local,
+            )
+        )
+        links.append(
+            multisplit.BlockLinks(
                 cover=decomp.cover_counts[tracked].astype(float),
                 neighbors=list(decomp.neighbors[blk]),
                 send_idx=send_idx[blk],
                 sources=sources,
                 segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
                 merge_slots=merge_slots,
-                owner_pick=from_owner[np.argsort(merge_slots[from_owner])],
+                owner_pick=owner_pick,
             )
         )
-    return workspaces
+    return workspaces, links
 
 
 @pytest.fixture
 def reference_workspaces():
-    """The per-block reference builder of the block workspaces."""
+    """The per-block reference builder of the block workspaces and links."""
     return per_block_workspaces

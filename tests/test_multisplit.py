@@ -20,6 +20,7 @@ from blocksolve.multisplit import (
     ResidualTrace,
     TRACE_HEADER,
     assemble_block_rhs,
+    build_links,
     build_workspaces,
     check_termination,
     combined_residual,
@@ -49,24 +50,38 @@ def dense_solution(problem):
     return dense_solve(problem.matrix.to_dense(), problem.rhs)
 
 
-def store_segment(ws, state, source, values):
+def workers_set_up(problem, decomp):
+    """The block workspaces and the per-block workers' links."""
+    workspaces = build_workspaces(problem, decomp)
+    return workspaces, build_links(workspaces, decomp)
+
+
+def initial_states(workspaces, links):
+    return [link.initial_state(ws) for ws, link in zip(workspaces, links)]
+
+
+def store_segment(links, state, source, values):
     """Store ``values`` as block ``source``'s segment of the merge values,
-    applied at iteration 0: its payload to ``ws``, or ``ws``'s own values
-    at its shared points."""
-    i = ws.sources.index(source)
-    state.values[ws.segments[i]] = values
+    applied at iteration 0: its payload to the block of ``links``, or that
+    block's own values at its shared points."""
+    i = links.sources.index(source)
+    state.values[links.segments[i]] = values
     state.applied[i] = 0
 
 
-def seed_state_with(workspaces, states, x_global):
+def sent_points(workspaces, links, src, dst):
+    """The global points block ``src`` ships to block ``dst``, in order."""
+    return workspaces[src].ext[links[src].send_idx[dst]]
+
+
+def seed_state_with(workspaces, links, states, x_global):
     """Point every block's merge values at a given global vector."""
-    for ws, state in zip(workspaces, states):
+    for ws, link, state in zip(workspaces, links, states):
         state.x_local = x_global[ws.ext].copy()
-        store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
-        for nbr in ws.neighbors:
-            sender = workspaces[nbr]
-            store_segment(ws, state, nbr, x_global[sender.ext][sender.send_idx[ws.block_id]])
-        merge_overlap(ws, state)
+        store_segment(link, state, ws.block_id, state.x_local[ws.shared_local])
+        for nbr in link.neighbors:
+            store_segment(link, state, nbr, x_global[sent_points(workspaces, links, nbr, ws.block_id)])
+        merge_overlap(ws, link, state)
 
 
 def drop_neighbor_pair(decomp):
@@ -112,12 +127,19 @@ class TestBuildWorkspaceGuards:
         ],
     )
     def test_corrupt_decomposition_raises(self, corrupt, message):
+        # set-up checks what the block systems need; only the links builder
+        # reads the neighbor lists, so a dropped pair surfaces there
         problem = make_problem(4)
         decomp = decompose(problem.grid, (2, 2, 1), 1)
-        build_workspaces(problem, decomp)
+        workers_set_up(problem, decomp)
         corrupt(decomp)
-        with pytest.raises(ProtocolError, match=message):
-            build_workspaces(problem, decomp)
+        if corrupt is drop_neighbor_pair:
+            workspaces = build_workspaces(problem, decomp)
+            with pytest.raises(ProtocolError, match=message):
+                build_links(workspaces, decomp)
+        else:
+            with pytest.raises(ProtocolError, match=message):
+                build_workspaces(problem, decomp)
 
     def test_lowest_failing_block_is_named(self):
         # the last block's region loses its last point, which it owns and no
@@ -128,9 +150,18 @@ class TestBuildWorkspaceGuards:
         with pytest.raises(ProtocolError, match="^block 7: index set membership"):
             build_workspaces(problem, decomp)
         # a missing neighbor pair fails both blocks; the lower one is named
+        decomp = decompose(problem.grid, (2, 2, 2), 1)
         drop_neighbor_pair(decomp)
+        workspaces = build_workspaces(problem, decomp)
         with pytest.raises(ProtocolError, match="^block 0: payload coverage"):
-            build_workspaces(problem, decomp)
+            build_links(workspaces, decomp)
+
+    def test_set_up_reads_no_neighbor_list(self, reference_workspaces):
+        problem = make_problem(6)
+        decomp = decompose(problem.grid, (2, 2, 2), 1)
+        workspaces = build_workspaces(problem, replace(decomp, neighbors=None))
+        for got, want in zip(workspaces, reference_workspaces(problem, decomp)[0]):
+            assert_same_record(got, want)
 
 
 def swap_first_two_points(decomp, *blocks):
@@ -186,10 +217,13 @@ def assert_same_array(got, want):
     assert np.array_equal(got, want)
 
 
-def assert_same_workspace(got, want):
-    """Every field equal, dtypes included; matrices array by array, as CSR
-    parts and once built."""
-    names = [field.name for field in fields(want)] + ["a_ii", "coupling"]
+def assert_same_record(got, want):
+    """Every field of a workspace or links record equal, dtypes included; a
+    workspace's matrices array by array, as CSR parts and once built."""
+    assert type(got) is type(want)
+    names = [field.name for field in fields(want)]
+    if isinstance(want, multisplit.BlockWorkspace):
+        names += ["a_ii", "coupling"]
     for name in names:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, SparseMatrix):
@@ -234,11 +268,11 @@ class TestBuildWorkspacesMatchReference:
             Grid3D(*shape, DirichletBoundary({"x_lo": 1.0, "y_hi": 0.5}))
         )
         decomp = decompose(problem.grid, blocks, overlap)
-        workspaces = build_workspaces(problem, decomp)
-        reference = reference_workspaces(problem, decomp)
-        assert len(workspaces) == len(reference) == decomp.num_blocks
-        for got, want in zip(workspaces, reference):
-            assert_same_workspace(got, want)
+        workspaces, links = workers_set_up(problem, decomp)
+        reference, reference_links = reference_workspaces(problem, decomp)
+        assert len(workspaces) == len(links) == len(reference) == decomp.num_blocks
+        for got, want in zip(workspaces + links, reference + reference_links):
+            assert_same_record(got, want)
 
     def test_decompositions_span_several_batches(self):
         # 64 blocks of 2100 to 3000 entries share six batches
@@ -250,34 +284,101 @@ class TestBuildWorkspacesMatchReference:
         assert batch_sizes(problem, decompose(problem.grid, (1, 1, 2), 1)) == [1, 1]
 
     def test_transient_memory_is_bounded(self):
-        # 512 blocks of 6^3 owned points on 48^3: the per-block builder's
-        # arrays peak about 1.5 MB above what the workspaces keep, and all
-        # 512 blocks in one batch about 42 MB
+        # 512 blocks of 6^3 owned points on 48^3: set-up's arrays peak about
+        # 2.2 MB above what the workspaces keep, and all 512 blocks in one
+        # batch about 44 MB; the links builder, one block at a time, peaks
+        # about 0.9 MB above what the links keep
         problem = build_laplace_3d(Grid3D(48, 48, 48))
         decomp = decompose(problem.grid, (8, 8, 8), 1)
         tracemalloc.start()
         try:
             workspaces = build_workspaces(problem, decomp)
             held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            links = build_links(workspaces, decomp)
+            links_held, links_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(workspaces) == 512
+        assert len(workspaces) == len(links) == 512
         assert peak - held <= 8_000_000
+        assert links_peak - links_held <= 8_000_000
+
+
+class TestLinksBuiltByTheWorkers:
+    """Only the per-block workers read the payload maps, so only they build
+    them: once per solve, before the fabric starts."""
+
+    @pytest.mark.parametrize(
+        "mode,execution,kind,solves_building_links",
+        [
+            ("sync", "replay", "direct", 0),
+            ("sync", "replay", "gmres", 0),
+            ("async", "replay", "gmres", 1),
+            ("sync", "threads", "gmres", 1),
+            ("async", "threads", "gmres", 1),
+        ],
+    )
+    def test_only_the_per_block_workers_build_links(
+        self, monkeypatch, mode, execution, kind, solves_building_links
+    ):
+        original = multisplit.build_links
+        built = []
+
+        def counting(workspaces, decomp):
+            built.append(len(workspaces))
+            return original(workspaces, decomp)
+
+        monkeypatch.setattr(multisplit, "build_links", counting)
+        config = OuterConfig(
+            block_grid=(2, 2, 1),
+            overlap=1,
+            inner=InnerSolverSpec(kind, 5),
+            mode=mode,
+            execution=execution,
+            max_outer=3,
+        )
+        outer_solve(make_problem(4), config)
+        assert built == [4] * solves_building_links
+
+    def test_dropped_neighbor_pair_fails_only_the_per_block_workers(
+        self, monkeypatch, tmp_path
+    ):
+        problem = make_problem(6)
+        config = OuterConfig(block_grid=(2, 2, 2), overlap=1, inner=InnerSolverSpec("gmres", 5))
+        intact = outer_solve(problem, config)
+
+        def dropping(grid, block_grid, overlap):
+            decomp = decompose(grid, block_grid, overlap)
+            drop_neighbor_pair(decomp)
+            return decomp
+
+        monkeypatch.setattr(multisplit, "decompose", dropping)
+        dropped = outer_solve(problem, config)
+        assert np.array_equal(dropped.solution, intact.solution)
+        for name, result in (("intact", intact), ("dropped", dropped)):
+            result.trace.write_csv(tmp_path / f"{name}.csv")
+        assert (tmp_path / "dropped.csv").read_bytes() == (tmp_path / "intact.csv").read_bytes()
+
+        fabrics = []
+        monkeypatch.setattr(multisplit, "Fabric", lambda *args: fabrics.append(args))
+        with pytest.raises(ProtocolError, match="^block 0: payload coverage"):
+            outer_solve(problem, replace(config, mode="async"))
+        assert fabrics == []
 
 
 class TestAssembleRhs:
     def test_single_block_is_global_rhs(self):
         problem = make_problem(3)
         decomp = decompose(problem.grid, (1, 1, 1))
-        ws = build_workspaces(problem, decomp)[0]
-        state = ws.initial_state()
+        (ws,), (links,) = workers_set_up(problem, decomp)
+        state = links.initial_state(ws)
         assert np.array_equal(assemble_block_rhs(ws, state.halo_values), problem.rhs)
 
     def test_zero_halos_give_restriction(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1, DirichletBoundary({"x_lo": 1.0})))
         decomp = decompose(problem.grid, (2, 1, 1))
-        for ws in build_workspaces(problem, decomp):
-            state = ws.initial_state()
+        for ws, links in zip(*workers_set_up(problem, decomp)):
+            state = links.initial_state(ws)
             rhs = assemble_block_rhs(ws, state.halo_values)
             assert np.array_equal(rhs, problem.rhs[ws.ext])
 
@@ -286,9 +387,9 @@ class TestAssembleRhs:
         problem = make_problem(4)
         x_true = dense_solution(problem)
         decomp = decompose(problem.grid, blocks, overlap)
-        workspaces = build_workspaces(problem, decomp)
-        states = [ws.initial_state() for ws in workspaces]
-        seed_state_with(workspaces, states, x_true)
+        workspaces, links = workers_set_up(problem, decomp)
+        states = initial_states(workspaces, links)
+        seed_state_with(workspaces, links, states, x_true)
         for ws, state in zip(workspaces, states):
             rhs = assemble_block_rhs(ws, state.halo_values)
             x_block = dense_solve(ws.a_ii.to_dense(), rhs)
@@ -299,37 +400,38 @@ class TestMergeOverlap:
     def test_no_overlap_merge_is_identity(self):
         problem = make_problem(4)
         decomp = decompose(problem.grid, (2, 1, 1))
-        ws = build_workspaces(problem, decomp)[0]
-        state = ws.initial_state()
+        workspaces, links = workers_set_up(problem, decomp)
+        ws, link = workspaces[0], links[0]
+        state = link.initial_state(ws)
         state.x_local = np.arange(float(ws.n_local))
-        store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
+        store_segment(link, state, ws.block_id, state.x_local[ws.shared_local])
         before = state.x_local.copy()
-        merge_overlap(ws, state)
+        merge_overlap(ws, link, state)
         assert np.array_equal(state.x_local, before)
 
     def test_two_cover_average(self):
         problem = build_laplace_3d(Grid3D(4, 1, 1))
         decomp = decompose(problem.grid, (2, 1, 1), overlap=1)
-        workspaces = build_workspaces(problem, decomp)
-        ws = workspaces[0]
-        state = ws.initial_state()
+        workspaces, links = workers_set_up(problem, decomp)
+        ws, link = workspaces[0], links[0]
+        state = link.initial_state(ws)
         # extended region {0,1,2}; point 2 is shared with (owned by) block 1
         state.x_local = np.array([0.0, 0.0, 4.0])
-        store_segment(ws, state, 0, state.x_local[ws.shared_local])
-        sender_points = workspaces[1].ext[workspaces[1].send_idx[0]]
-        store_segment(ws, state, 1, np.where(sender_points == 2, 10.0, 0.0))
-        merge_overlap(ws, state)
+        store_segment(link, state, 0, state.x_local[ws.shared_local])
+        sender_points = sent_points(workspaces, links, 1, 0)
+        store_segment(link, state, 1, np.where(sender_points == 2, 10.0, 0.0))
+        merge_overlap(ws, link, state)
         shared_value = state.x_local[ws.shared_local][0]
         assert shared_value == pytest.approx((4.0 + 10.0) / 2)
 
     def test_identical_values_merge_to_identity(self):
         problem = make_problem(4)
         decomp = decompose(problem.grid, (2, 2, 1), overlap=1)
-        workspaces = build_workspaces(problem, decomp)
-        states = [ws.initial_state() for ws in workspaces]
+        workspaces, links = workers_set_up(problem, decomp)
+        states = initial_states(workspaces, links)
         rng = np.random.default_rng(3)
         x_global = rng.standard_normal(problem.grid.num_unknowns)
-        seed_state_with(workspaces, states, x_global)
+        seed_state_with(workspaces, links, states, x_global)
         for ws, state in zip(workspaces, states):
             assert np.abs(state.x_local - x_global[ws.ext]).max() <= 1e-15
             assert np.abs(state.halo_values - x_global[ws.halo_cols]).max() <= 1e-15
@@ -340,21 +442,21 @@ class TestMergeOverlap:
         problem = make_problem(6)
         decomp = decompose(problem.grid, (2, 2, 2), overlap=1)
         assert decomp.cover_counts.max() > 2
-        workspaces = build_workspaces(problem, decomp)
+        workspaces, links = workers_set_up(problem, decomp)
         rng = np.random.default_rng(11)
         # block c reports values[c][p] at every point p it covers
         values = rng.standard_normal((decomp.num_blocks, problem.grid.num_unknowns))
         owner = np.empty(problem.grid.num_unknowns, dtype=int)
         for blk in range(decomp.num_blocks):
             owner[decomp.owned_indices(blk)] = blk
-        for ws in workspaces:
-            state = ws.initial_state()
+        for ws, link in zip(workspaces, links):
+            state = link.initial_state(ws)
             state.x_local = values[ws.block_id][ws.ext].copy()
-            store_segment(ws, state, ws.block_id, state.x_local[ws.shared_local])
-            for nbr in ws.neighbors:
-                sender = workspaces[nbr]
-                store_segment(ws, state, nbr, values[nbr][sender.ext[sender.send_idx[ws.block_id]]])
-            merge_overlap(ws, state)
+            store_segment(link, state, ws.block_id, state.x_local[ws.shared_local])
+            for nbr in link.neighbors:
+                points = sent_points(workspaces, links, nbr, ws.block_id)
+                store_segment(link, state, nbr, values[nbr][points])
+            merge_overlap(ws, link, state)
 
             owned = decomp.owned_indices(ws.block_id)
             shared = np.setdiff1d(ws.ext, owned)
@@ -369,7 +471,7 @@ class TestMergeOverlap:
                 expected = [np.mean(values[cs, p]) for cs, p in zip(covering, points)]
                 assert merged == pytest.approx(expected, rel=1e-14, abs=1e-14)
             tracked = np.concatenate((ws.halo_cols, shared))
-            assert np.array_equal(state.values[ws.owner_pick], values[owner[tracked], tracked])
+            assert np.array_equal(state.values[link.owner_pick], values[owner[tracked], tracked])
             assert np.array_equal(state.x_local[ws.owned_local], values[ws.block_id][owned])
 
     def test_sums_in_block_order_like_the_stacked_merge(self):
@@ -378,20 +480,19 @@ class TestMergeOverlap:
         problem = build_laplace_3d(Grid3D(9, 1, 1))
         decomp = decompose(problem.grid, (3, 1, 1), overlap=2)
         assert decomp.cover_counts[4] == 3
-        workspaces = build_workspaces(problem, decomp)
-        ws = workspaces[2]
+        workspaces, links = workers_set_up(problem, decomp)
+        ws, link = workspaces[2], links[2]
         assert 4 in ws.ext[ws.shared_local]
         # block c reports values[c] at point 4; their float sum depends on
         # the order: 1e16 + 1 + -1e16 is 0, -1e16 + 1e16 + 1 is 1
         values = np.zeros((3, 9))
         values[:, 4] = [1e16, 1.0, -1e16]
-        state = ws.initial_state()
+        state = link.initial_state(ws)
         state.x_local = values[2][ws.ext].copy()
-        store_segment(ws, state, 2, state.x_local[ws.shared_local])
-        for nbr in ws.neighbors:
-            sender = workspaces[nbr]
-            store_segment(ws, state, nbr, values[nbr][sender.ext[sender.send_idx[2]]])
-        merge_overlap(ws, state)
+        store_segment(link, state, 2, state.x_local[ws.shared_local])
+        for nbr in link.neighbors:
+            store_segment(link, state, nbr, values[nbr][sent_points(workspaces, links, nbr, 2)])
+        merge_overlap(ws, link, state)
 
         stacked = multisplit._StackedBlocks.build(
             workspaces, decomp, InnerSolverSpec("jacobi", 1), problem.grid
@@ -412,12 +513,13 @@ class TestResidualCombination:
         # while the true global relative residual is r
         problem = build_laplace_3d(Grid3D(2, 1, 1, DirichletBoundary({"x_lo": 1.0, "x_hi": 1.0})))
         decomp = decompose(problem.grid, (2, 1, 1))
-        workspaces = build_workspaces(problem, decomp)
-        states = [ws.initial_state() for ws in workspaces]
+        workspaces, links = workers_set_up(problem, decomp)
+        states = initial_states(workspaces, links)
         x = np.array([0.1, 0.1])  # symmetric, not the solution
-        seed_state_with(workspaces, states, x)
+        seed_state_with(workspaces, links, states, x)
         locals_ = [
-            local_relative_residual(ws, st) for ws, st in zip(workspaces, states)
+            local_relative_residual(ws, link, st)
+            for ws, link, st in zip(workspaces, links, states)
         ]
         assert locals_[0] == pytest.approx(locals_[1])
         true = true_relative_residual(problem, x)
@@ -426,13 +528,14 @@ class TestResidualCombination:
     def test_combiner_dominates_true_residual(self):
         problem = make_problem(4)
         decomp = decompose(problem.grid, (2, 2, 1), overlap=1)
-        workspaces = build_workspaces(problem, decomp)
-        states = [ws.initial_state() for ws in workspaces]
+        workspaces, links = workers_set_up(problem, decomp)
+        states = initial_states(workspaces, links)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(problem.grid.num_unknowns)
-        seed_state_with(workspaces, states, x)
+        seed_state_with(workspaces, links, states, x)
         locals_ = [
-            local_relative_residual(ws, st) for ws, st in zip(workspaces, states)
+            local_relative_residual(ws, link, st)
+            for ws, link, st in zip(workspaces, links, states)
         ]
         assert combined_residual(locals_) >= true_relative_residual(problem, x)
 
@@ -1120,14 +1223,14 @@ class TestFixedPoint:
         problem = make_problem(4)
         x_true = dense_solution(problem)
         decomp = decompose(problem.grid, blocks, overlap)
-        workspaces = build_workspaces(problem, decomp)
-        states = [ws.initial_state() for ws in workspaces]
-        seed_state_with(workspaces, states, x_true)
-        for ws, state in zip(workspaces, states):
+        workspaces, links = workers_set_up(problem, decomp)
+        states = initial_states(workspaces, links)
+        seed_state_with(workspaces, links, states, x_true)
+        for ws, link, state in zip(workspaces, links, states):
             rhs = assemble_block_rhs(ws, state.halo_values)
             x_new = dense_solve(ws.a_ii.to_dense(), rhs)
             assert np.abs(x_new - state.x_local).max() <= 1e-12
-            assert local_relative_residual(ws, state) <= 1e-12
+            assert local_relative_residual(ws, link, state) <= 1e-12
 
 
 class TestDegenerations:
