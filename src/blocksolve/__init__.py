@@ -12,10 +12,8 @@ from .inner_solvers import InnerSolveReport, InnerSolverSpec, prepare
 from .linalg import (
     SingularMatrixError,
     SparseMatrix,
-    SpectralEstimate,
     ZeroRhsError,
     dense_solve,
-    power_iteration,
     residual_norms,
     spmv,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "SolveResult",
     "SolverBreakdownError",
     "SparseMatrix",
-    "SpectralEstimate",
     "ZeroRhsError",
     "block_system",
     "build_laplace_3d",
@@ -67,7 +64,6 @@ __all__ = [
     "dense_solve",
     "iteration_operator",
     "outer_solve",
-    "power_iteration",
     "prepare",
     "residual_norms",
     "spmv",

@@ -259,7 +259,6 @@ class RunSummary:
     iterations_per_second: float | None
     final_true_residual: float
     converged: bool
-    config_echo: str
     trace_path: str
 
 
@@ -322,7 +321,6 @@ def run(config: ExperimentConfig) -> RunSummary:
         iterations_per_second=rate,
         final_true_residual=final_true,
         converged=converged,
-        config_echo=config.echo(),
         trace_path=config.out,
     )
 

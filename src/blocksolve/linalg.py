@@ -2,16 +2,18 @@
 
 Vectors are plain one-dimensional float64 numpy arrays. The sparse format is
 scipy's CSR (``scipy.sparse.csr_array``), kept canonical: strictly increasing
-column indices inside each row. The dense solve and the power iteration
-exist mainly to cross-check the iterative machinery, so they are
-deliberately boring and direct.
+column indices inside each row. The dense solve exists mainly to
+cross-check the iterative machinery, so it is deliberately boring and
+direct. No spectral-radius estimator lives here: run
+``scipy.sparse.linalg.eigs`` on a ``LinearOperator`` around the map that
+``multisplit.iteration_operator`` returns.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -20,13 +22,11 @@ import scipy.sparse
 __all__ = [
     "CsrParts",
     "SparseMatrix",
-    "SpectralEstimate",
     "SingularMatrixError",
     "ZeroRhsError",
     "spmv",
     "residual_norms",
     "dense_solve",
-    "power_iteration",
 ]
 
 DENSE_ORACLE_CAP = 8192
@@ -99,27 +99,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(self.csr.nnz)
-
-    @classmethod
-    def from_entries(
-        cls,
-        num_rows: int,
-        num_cols: int,
-        entries: Iterable[tuple[int, int, float]],
-    ) -> "SparseMatrix":
-        """Build from (row, col, value) triples.
-
-        Duplicate (row, col) pairs are rejected rather than summed.
-        """
-        items = np.asarray(list(entries), dtype=np.float64).reshape(-1, 3)
-        rows, cols = items[:, 0].astype(np.int64), items[:, 1].astype(np.int64)
-        coo = scipy.sparse.coo_array(
-            (items[:, 2], (rows, cols)), shape=(num_rows, num_cols)
-        )
-        csr = coo.tocsr()
-        if csr.nnz != items.shape[0]:
-            raise ValueError("duplicate (row, col) entries")
-        return cls(csr)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
@@ -208,48 +187,3 @@ def dense_solve(a, b, *, max_dim: int = DENSE_ORACLE_CAP) -> np.ndarray:
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
     return scipy.linalg.lu_solve((lu, piv), b)
-
-
-@dataclass
-class SpectralEstimate:
-    """Dominant |eigenvalue| estimate from the power iteration."""
-
-    radius: float
-    iterations_used: int
-    converged: bool
-
-
-def power_iteration(
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float = 1e-10,
-    max_iterations: int = 5000,
-    seed: int = 0,
-) -> SpectralEstimate:
-    """Estimate the spectral radius of a linear map by the power method.
-
-    The start vector is seeded-random mixed with all-ones, which keeps a
-    component on the dominant eigenvector for the nonnegative iteration
-    matrices this is used on. The radius estimate is the norm growth ratio
-    per step (robust when +r and -r are both dominant); convergence is
-    declared when successive estimates differ by less than ``tol``.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    x = 1.0 + rng.random(dim)
-    x /= np.linalg.norm(x)
-    previous = np.inf
-    estimate = 0.0
-    for it in range(1, max_iterations + 1):
-        y = as_vector(apply_map(x), dim)
-        estimate = float(np.linalg.norm(y))
-        if estimate == 0.0:
-            return SpectralEstimate(0.0, it, True)
-        if abs(estimate - previous) < tol:
-            return SpectralEstimate(estimate, it, True)
-        previous = estimate
-        x = y / estimate
-    return SpectralEstimate(estimate, max_iterations, False)

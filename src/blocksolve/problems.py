@@ -72,12 +72,6 @@ class DirichletBoundary:
     def zero(cls) -> "DirichletBoundary":
         return cls()
 
-    def value(self, face: str, u: int, v: int) -> float:
-        spec = self._faces[face]
-        if callable(spec):
-            return float(spec(u, v))
-        return spec
-
     def face_values(self, face: str, nu: int, nv: int) -> np.ndarray:
         """The face's data at in-face coordinates u < nu, v < nv, indexed [v, u]."""
         spec = self._faces[face]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from blocksolve import multisplit, problems
 from blocksolve.linalg import CsrParts
@@ -47,6 +48,29 @@ def count_symmetry_classes(shape, block_grid, overlap=1):
 def distinct_block_matrices():
     """The brute-force count of direct factors a decomposition needs."""
     return count_symmetry_classes
+
+
+def eigs_radius(apply_map, dim):
+    """The spectral radius of a linear map on R^dim, from ARPACK: the larger
+    |eigenvalue| of the two ``scipy.sparse.linalg.eigs`` finds from the
+    all-ones start (two, so that a pair +r, -r still converges).
+
+    A map that sends the start to zero, as one block's exact outer iteration
+    does, has radius 0.0; ARPACK would stop there with error -9 ("starting
+    vector is zero"). A run that does not converge raises.
+    """
+    v0 = np.ones(dim)
+    if not apply_map(v0).any():
+        return 0.0
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_map, dtype=np.float64)
+    eigenvalues = scipy.sparse.linalg.eigs(op, k=2, v0=v0, return_eigenvectors=False)
+    return float(np.abs(eigenvalues).max())
+
+
+@pytest.fixture
+def spectral_radius():
+    """The ARPACK spectral radius of an ``(apply_map, dim)`` linear map."""
+    return eigs_radius
 
 
 def truncated_iterates(problem, config, count):

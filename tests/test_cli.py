@@ -5,6 +5,7 @@ from blocksolve.cli import (
     ExperimentConfig,
     compare,
     format_compare,
+    format_delay,
     format_summary,
     format_sweep,
     main,
@@ -42,6 +43,15 @@ class TestParsing:
         assert parse_delay("fixed:2", 0) == DelayModel("fixed", fixed=2)
         assert parse_delay("uniform:0:3", 1) == DelayModel("uniform", low=0, high=3, seed=1)
         assert parse_delay("jitter:1:4", 0) == DelayModel("drop_free_jitter", low=1, high=4)
+
+    @pytest.mark.parametrize("raw", ["none", "fixed:2", "uniform:0:3", "jitter:1:4"])
+    def test_delay_round_trip(self, raw):
+        assert format_delay(parse_delay(raw, 7)) == raw
+        config = ExperimentConfig.from_mapping({"delay": raw, "seed": "7"})
+        echoed = config.echo().splitlines()
+        assert f"delay={raw}" in echoed
+        lines = dict(line.split("=", 1) for line in echoed)
+        assert ExperimentConfig.from_mapping(lines).delay == config.delay == parse_delay(raw, 7)
 
     def test_delay_errors(self):
         for bad in ("sometimes", "fixed", "uniform:1", "fixed:x"):

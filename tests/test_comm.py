@@ -111,8 +111,22 @@ class TestSyncExchange:
 
     def test_wrong_mode(self):
         fabric = pair_fabric("async")
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="requires sync mode"):
             next(fabric.halo_exchange_sync(0, {1: np.array([1.0])}, 0))
+        with pytest.raises(ProtocolError, match="requires async mode"):
+            pair_fabric("sync").halo_exchange_async(0, {1: np.array([1.0])}, 0)
+
+    def test_payload_per_neighbor_required(self):
+        fabric = Fabric(3, "sync", topology=[[1, 2], [0], [0]])
+        fabric.begin_iteration(0, 0)
+        with pytest.raises(ProtocolError, match="must provide one payload per neighbor"):
+            next(fabric.halo_exchange_sync(0, {1: np.array([1.0])}, 0))
+
+    def test_restarted_iteration_raises(self):
+        fabric = pair_fabric("sync")
+        fabric.begin_iteration(0, 3)
+        with pytest.raises(ProtocolError, match="block 0 restarted iteration 2 after 3"):
+            fabric.begin_iteration(0, 2)
 
 
 def async_pair_loop(fabric, iterations, on_apply=None):

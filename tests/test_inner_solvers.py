@@ -187,7 +187,7 @@ class TestGMRES:
     def test_stagnation_reports_breakdown(self):
         # cyclic shift: GMRES makes no progress until the full dimension
         n = 8
-        a = SparseMatrix.from_entries(n, n, [((i + 1) % n, i, 1.0) for i in range(n)])
+        a = SparseMatrix.from_dense(np.roll(np.eye(n), 1, axis=0))
         b = np.zeros(n)
         b[0] = 1.0
         _, report = prepare(InnerSolverSpec("gmres", 20, 1e-10, restart=5), a)(b, np.zeros(n))

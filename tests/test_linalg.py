@@ -7,7 +7,6 @@ from blocksolve.linalg import (
     SparseMatrix,
     ZeroRhsError,
     dense_solve,
-    power_iteration,
     residual_norms,
     spmv,
 )
@@ -15,18 +14,12 @@ from blocksolve.problems import DirichletBoundary, Grid3D, build_laplace_3d
 
 
 def tridiag(n, lo=-1.0, diag=2.0, hi=-1.0):
-    entries = []
-    for i in range(n):
-        if i > 0:
-            entries.append((i, i - 1, lo))
-        entries.append((i, i, diag))
-        if i < n - 1:
-            entries.append((i, i + 1, hi))
-    return SparseMatrix.from_entries(n, n, entries)
+    dense = np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, lo), -1)
+    return SparseMatrix.from_dense(dense + np.diag(np.full(n - 1, hi), 1))
 
 
 def identity(n):
-    return SparseMatrix.from_entries(n, n, [(i, i, 1.0) for i in range(n)])
+    return SparseMatrix.from_dense(np.eye(n))
 
 
 def random_csr(rng, n, density=0.4):
@@ -35,20 +28,6 @@ def random_csr(rng, n, density=0.4):
 
 
 class TestSparseMatrix:
-    def test_from_entries_round_trip(self):
-        a = tridiag(3)
-        expected = np.array([[2.0, -1, 0], [-1, 2, -1], [0, -1, 2]])
-        assert np.array_equal(a.to_dense(), expected)
-        a.check()
-
-    def test_duplicate_entries_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_entries(2, 2, [(0, 5, 1.0)])
-
     def test_diagonal_and_without_diagonal(self):
         a = tridiag(4)
         assert np.array_equal(a.diagonal(), np.full(4, 2.0))
@@ -86,7 +65,7 @@ class TestSpmv:
             spmv(identity(3), np.ones(4))
 
     def test_empty_rows(self):
-        a = SparseMatrix.from_entries(3, 3, [(0, 0, 2.0), (2, 1, 3.0)])
+        a = SparseMatrix.from_dense([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
         assert np.array_equal(spmv(a, [1.0, 1.0, 1.0]), [2.0, 0.0, 3.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -159,64 +138,3 @@ class TestDenseSolve:
         x = rng.standard_normal(n)
         x_back = dense_solve(a, a @ x)
         assert np.abs(x_back - x).max() <= 1e-8 * max(np.abs(x).max(), 1.0)
-
-
-def jacobi_iteration_map(a: SparseMatrix):
-    """x -> D^-1 (D - A) x, the point-Jacobi iteration matrix."""
-    d = a.diagonal()
-    return lambda x: x - spmv(a, x) / d
-
-
-class TestPowerIteration:
-    def test_dominant_diagonal(self):
-        a = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        est = power_iteration(lambda x: spmv(a, x), 3, tol=1e-12, seed=1)
-        assert est.converged
-        assert est.radius == pytest.approx(3.0, abs=1e-10)
-
-    def test_zero_map(self):
-        est = power_iteration(lambda x: np.zeros_like(x), 5, seed=0)
-        assert est.converged
-        assert est.radius == 0.0
-
-    def test_jacobi_matrix_1d_laplace(self):
-        # dense eigenvalue oracle for D^-1 (D - A), A = tridiag(-1, 2, -1)
-        a = tridiag(3)
-        dense_iter = np.eye(3) - a.to_dense() / 2.0
-        oracle = np.abs(np.linalg.eigvals(dense_iter)).max()
-        assert oracle == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        est = power_iteration(jacobi_iteration_map(a), 3, tol=1e-12, seed=4)
-        assert est.converged
-        assert est.radius == pytest.approx(oracle, abs=1e-6)
-        assert est.radius == pytest.approx(0.70711, abs=1e-5)
-
-    def test_deterministic_for_fixed_seed(self):
-        a = tridiag(6)
-        runs = [
-            power_iteration(jacobi_iteration_map(a), 6, tol=1e-10, seed=9)
-            for _ in range(2)
-        ]
-        assert runs[0].radius == runs[1].radius
-        assert runs[0].iterations_used == runs[1].iterations_used
-
-    def test_non_convergence_flagged(self):
-        a = tridiag(8)
-        est = power_iteration(jacobi_iteration_map(a), 8, tol=1e-15, max_iterations=2)
-        assert not est.converged
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_3d_laplace_jacobi_radius_below_one(self, n):
-        problem = build_laplace_3d(Grid3D(n, n, n))
-        a = problem.matrix
-        est = power_iteration(jacobi_iteration_map(a), a.num_rows, tol=1e-10, seed=2)
-        dense_iter = np.eye(a.num_rows) - a.to_dense() / 6.0
-        oracle = np.abs(np.linalg.eigvals(dense_iter)).max()
-        assert est.converged
-        assert est.radius < 1.0
-        assert est.radius == pytest.approx(oracle, abs=1e-6)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            power_iteration(lambda x: x, 0)
-        with pytest.raises(ValueError):
-            power_iteration(lambda x: x, 3, tol=0.0)

@@ -14,7 +14,7 @@ from blocksolve import multisplit
 from blocksolve.comm import DelayModel
 from blocksolve.errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec
-from blocksolve.linalg import CsrParts, SparseMatrix, dense_solve, power_iteration
+from blocksolve.linalg import CsrParts, SparseMatrix, ZeroRhsError, dense_solve
 from blocksolve.multisplit import (
     OuterConfig,
     ResidualTrace,
@@ -689,6 +689,57 @@ class TestOuterSolve:
         assert result.final_true_residual <= 1e-6
         assert all(row.true_residual is not None for row in result.trace.rows)
 
+    @pytest.mark.parametrize(
+        "mode,delay,outers",
+        [
+            ("sync", DelayModel(), (33, 32)),
+            ("async", DelayModel("uniform", low=0, high=3, seed=5), (74, 71)),
+        ],
+        ids=["sync", "async"],
+    )
+    def test_true_residual_crosses_before_the_estimate(self, mode, delay, outers):
+        # the combined estimate overstates the true residual here, so true
+        # mode stops on the true residual while the estimate is still >= tol
+        problem = make_problem(12, DirichletBoundary({"x_lo": 1.0}))
+        config = OuterConfig(
+            block_grid=(2, 2, 1),
+            overlap=1,
+            inner=InnerSolverSpec("gmres", 5),
+            mode=mode,
+            delay=delay,
+            tol=1e-6,
+        )
+        paper = outer_solve(problem, config)
+        true = outer_solve(problem, replace(config, residual_check_mode="true"))
+        assert (paper.outer_iterations, true.outer_iterations) == outers
+        assert paper.converged and true.converged
+        last = true.trace.rows[-1]
+        assert last.estimated_residual >= 1e-6 > last.true_residual
+
+    @pytest.mark.parametrize(
+        "mode,execution",
+        [("sync", "replay"), ("async", "replay"), ("sync", "threads"), ("async", "threads")],
+    )
+    def test_zero_rhs_raises(self, monkeypatch, mode, execution):
+        original = multisplit.inner_solve
+        solves = []
+
+        def counting(solver, rhs, x0):
+            solves.append(rhs.shape[0])
+            return original(solver, rhs, x0)
+
+        monkeypatch.setattr(multisplit, "inner_solve", counting)
+        problem = make_problem(4, DirichletBoundary.zero())
+        config = OuterConfig(
+            block_grid=(2, 1, 1), inner=InnerSolverSpec("gmres", 5), mode=mode,
+            execution=execution,
+        )
+        with pytest.raises(ZeroRhsError, match="zero right-hand side"):
+            outer_solve(problem, config)
+        # sync replay raises before its first inner solve, the per-block
+        # workers when they first measure a true residual
+        assert bool(solves) == ((mode, execution) != ("sync", "replay"))
+
     def test_breakdown_propagates_block_id(self):
         # indefinite second diagonal block makes CG break down in block 1
         grid = Grid3D(2, 1, 1)
@@ -719,25 +770,33 @@ class TestOuterSolve:
 
     def test_threads_breakdown_surfaces_failing_block(self, monkeypatch):
         # block 1's two-row system breaks down at iteration 0 while block 0
-        # waits for its payload; the secondary deadlock must not mask it
+        # waits for its payload (sync) or runs on (async); the secondary
+        # deadlock must not mask it, and an async block 0 must stop on the
+        # stop flag, not at max_outer
         original = multisplit.inner_solve
+        block_0_solves = []
 
         def breaks_on_block_1(solver, rhs, x0):
             if rhs.shape[0] == 2:
                 return x0, InnerSolveReport(0, math.inf, "breakdown")
+            block_0_solves.append(1)
             return original(solver, rhs, x0)
 
         monkeypatch.setattr(multisplit, "inner_solve", breaks_on_block_1)
         problem = build_laplace_3d(Grid3D(5, 1, 1, DirichletBoundary({"x_lo": 1.0})))
-        for execution in ("replay", "threads"):
-            config = OuterConfig(
-                block_grid=(2, 1, 1),
-                inner=InnerSolverSpec("gmres", 2),
-                execution=execution,
-            )
-            with pytest.raises(SolverBreakdownError, match="block 1") as err:
-                outer_solve(problem, config)
-            assert err.value.block_id == 1
+        for mode in ("sync", "async"):
+            for execution in ("replay", "threads"):
+                config = OuterConfig(
+                    block_grid=(2, 1, 1),
+                    inner=InnerSolverSpec("gmres", 2),
+                    mode=mode,
+                    execution=execution,
+                )
+                block_0_solves.clear()
+                with pytest.raises(SolverBreakdownError, match="block 1") as err:
+                    outer_solve(problem, config)
+                assert err.value.block_id == 1, (mode, execution)
+                assert len(block_0_solves) < config.max_outer, (mode, execution)
 
     def test_singular_direct_block_surfaces_its_breakdown(self):
         # zeroing A's last row makes block 1's factor singular; its first
@@ -1294,21 +1353,17 @@ class TestIterationOperator:
         assert np.abs(materialized - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("blocks,overlap", [((2, 1, 1), 0), ((2, 2, 1), 1)])
-    def test_radius_below_one(self, blocks, overlap):
+    def test_radius_below_one(self, blocks, overlap, spectral_radius):
         problem = make_problem(4)
         decomp = decompose(problem.grid, blocks, overlap)
-        apply_map, dim = iteration_operator(problem, decomp)
-        estimate = power_iteration(apply_map, dim, tol=1e-10, seed=0)
-        assert estimate.converged
-        assert estimate.radius < 1.0
+        assert spectral_radius(*iteration_operator(problem, decomp)) < 1.0
 
-    def test_more_blocks_larger_radius(self):
+    def test_more_blocks_larger_radius(self, spectral_radius):
         problem = make_problem(8)
         radii = []
         for gx in (2, 4):
             decomp = decompose(problem.grid, (gx, 1, 1))
-            apply_map, dim = iteration_operator(problem, decomp)
-            radii.append(power_iteration(apply_map, dim, tol=1e-10, seed=0).radius)
+            radii.append(spectral_radius(*iteration_operator(problem, decomp)))
         assert radii[0] < radii[1] < 1.0
 
 

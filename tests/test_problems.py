@@ -20,14 +20,14 @@ from blocksolve.problems import (
 class TestBoundary:
     def test_constant_and_faces(self):
         b = DirichletBoundary({"x_lo": 1.0, "y_hi": 0.5})
-        assert b.value("x_lo", 0, 0) == 1.0
-        assert b.value("y_hi", 3, 2) == 0.5
-        assert b.value("z_lo", 0, 0) == 0.0
-        assert DirichletBoundary.constant(2.0).value("z_hi", 1, 1) == 2.0
+        assert b.face_values("x_lo", 1, 1)[0, 0] == 1.0
+        assert b.face_values("y_hi", 4, 3)[2, 3] == 0.5
+        assert b.face_values("z_lo", 1, 1)[0, 0] == 0.0
+        assert DirichletBoundary.constant(2.0).face_values("z_hi", 2, 2)[1, 1] == 2.0
 
     def test_callable_face(self):
         b = DirichletBoundary({"x_lo": lambda j, k: j + 10 * k})
-        assert b.value("x_lo", 2, 3) == 32.0
+        assert b.face_values("x_lo", 3, 4)[3, 2] == 32.0
         with pytest.raises(ValueError):
             b.face_constants()
 
