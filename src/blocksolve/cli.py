@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -105,16 +105,6 @@ def parse_delay(raw: str, seed: int) -> DelayModel:
     )
 
 
-def format_delay(delay: DelayModel) -> str:
-    if delay.kind == "none":
-        return "none"
-    if delay.kind == "fixed":
-        return f"fixed:{delay.fixed}"
-    if delay.kind == "uniform":
-        return f"uniform:{delay.low}:{delay.high}"
-    return f"jitter:{delay.low}:{delay.high}"
-
-
 def parse_boundary(raw: str) -> DirichletBoundary:
     if raw.startswith("const:"):
         return DirichletBoundary.constant(_parse_float(raw[6:], "boundary"))
@@ -133,52 +123,62 @@ def parse_boundary(raw: str) -> DirichletBoundary:
     )
 
 
-def format_boundary(boundary: DirichletBoundary) -> str:
-    faces = boundary.face_constants()
-    return "faces:" + ",".join(f"{name}={format(faces[name], '.17g')}" for name in FACES)
+def _setting(default: str, parse: Callable[[str, str], Any] = _parse_int, key: str = ""):
+    """An ``ExperimentConfig`` field as one configuration key: its raw default,
+    its parser (raw, key) -> value, whose errors name the key, and the key
+    where it is not the field name."""
+    return dataclasses.field(metadata={"default": default, "parse": parse, "key": key})
 
 
-class ConfigKey(NamedTuple):
-    """How one ``key=value`` setting maps onto an ``ExperimentConfig`` field."""
+@dataclass
+class ExperimentConfig:
+    """Fully-resolved configuration of one experiment.
 
-    field: str
-    parse: Callable[[str, str], Any]  # (raw, key) -> value; errors name the key
-    format: Callable[[Any], str]  # value -> raw, which re-parses to an equal value
-    default: str
+    Each field is one configuration key, in flag and help order. The delay is
+    parsed with seed 0 and gets the parsed seed in ``from_mapping``.
+    """
+
+    nx: int = _setting("8")
+    ny: int = _setting("8")
+    nz: int = _setting("8")
+    boundary: DirichletBoundary = _setting("faces:x_lo=1", lambda raw, key: parse_boundary(raw))
+    gx: int = _setting("1")
+    gy: int = _setting("1")
+    gz: int = _setting("1")
+    overlap: int = _setting("0")
+    inner: str = _setting("gmres", _choice(SOLVER_KINDS, "solver"))
+    inner_its: int = _setting("10", _parse_count)
+    inner_tol: float = _setting("0", _parse_nonnegative)
+    restart: int | None = _setting(
+        "", lambda raw, key: None if raw == "" else _parse_count(raw, key)
+    )
+    mode: str = _setting("sync", _choice(RUN_MODES, "mode"))
+    buffer_slots: int = _setting("100", key="R")
+    delay: DelayModel = _setting("none", lambda raw, key: parse_delay(raw, 0))
+    seed: int = _setting("0")
+    tol: float = _setting("1e-6", _parse_nonnegative)
+    max_outer: int = _setting("5000", _parse_count)
+    residual_mode: str = _setting("paper", _choice(RESIDUAL_MODES, "mode"))
+    true_res_every: int = _setting("10")
+    execution: str = _setting("replay", _choice(EXECUTIONS, "execution"), key="exec")
+    out: str = _setting("trace.csv", lambda raw, key: raw)
+
+    @classmethod
+    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{key}: unknown configuration key")
+        values = {
+            spec.name: spec.metadata["parse"](raw.get(key, spec.metadata["default"]), key)
+            for key, spec in CONFIG_KEYS.items()
+        }
+        values["delay"] = dataclasses.replace(values["delay"], seed=values["seed"])
+        return cls(**values)
 
 
-# Every configuration key, in flag, help and echo order. The delay is parsed
-# with seed 0 and gets the parsed seed afterwards (see from_mapping).
+# every configuration key and the field that declares it
 CONFIG_KEYS = {
-    "nx": ConfigKey("nx", _parse_int, str, "8"),
-    "ny": ConfigKey("ny", _parse_int, str, "8"),
-    "nz": ConfigKey("nz", _parse_int, str, "8"),
-    "boundary": ConfigKey(
-        "boundary", lambda raw, key: parse_boundary(raw), format_boundary, "faces:x_lo=1"
-    ),
-    "gx": ConfigKey("gx", _parse_int, str, "1"),
-    "gy": ConfigKey("gy", _parse_int, str, "1"),
-    "gz": ConfigKey("gz", _parse_int, str, "1"),
-    "overlap": ConfigKey("overlap", _parse_int, str, "0"),
-    "inner": ConfigKey("inner", _choice(SOLVER_KINDS, "solver"), str, "gmres"),
-    "inner_its": ConfigKey("inner_its", _parse_count, str, "10"),
-    "inner_tol": ConfigKey("inner_tol", _parse_nonnegative, "{:.17g}".format, "0"),
-    "restart": ConfigKey(
-        "restart",
-        lambda raw, key: None if raw == "" else _parse_count(raw, key),
-        lambda value: "" if value is None else str(value),
-        "",
-    ),
-    "mode": ConfigKey("mode", _choice(RUN_MODES, "mode"), str, "sync"),
-    "R": ConfigKey("buffer_slots", _parse_int, str, "100"),
-    "delay": ConfigKey("delay", lambda raw, key: parse_delay(raw, 0), format_delay, "none"),
-    "seed": ConfigKey("seed", _parse_int, str, "0"),
-    "tol": ConfigKey("tol", _parse_nonnegative, "{:.17g}".format, "1e-6"),
-    "max_outer": ConfigKey("max_outer", _parse_count, str, "5000"),
-    "residual_mode": ConfigKey("residual_mode", _choice(RESIDUAL_MODES, "mode"), str, "paper"),
-    "true_res_every": ConfigKey("true_res_every", _parse_int, str, "10"),
-    "exec": ConfigKey("execution", _choice(EXECUTIONS, "execution"), str, "replay"),
-    "out": ConfigKey("out", lambda raw, key: raw, str, "trace.csv"),
+    spec.metadata["key"] or spec.name: spec for spec in dataclasses.fields(ExperimentConfig)
 }
 
 # the configuration keys one sweep value sets
@@ -188,53 +188,6 @@ SWEEP_AXES = {
     "overlap": ("overlap",),
     "mode": ("mode",),
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully-resolved configuration of one experiment."""
-
-    nx: int
-    ny: int
-    nz: int
-    boundary: DirichletBoundary
-    gx: int
-    gy: int
-    gz: int
-    overlap: int
-    inner: str
-    inner_its: int
-    inner_tol: float
-    restart: int | None
-    mode: str  # baseline | sync | async
-    buffer_slots: int
-    delay: DelayModel
-    seed: int
-    tol: float
-    max_outer: int
-    residual_mode: str  # paper | true
-    true_res_every: int
-    execution: str  # replay | threads
-    out: str
-
-    @classmethod
-    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        for key in raw:
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"{key}: unknown configuration key")
-        values = {
-            spec.field: spec.parse(raw.get(key, spec.default), key)
-            for key, spec in CONFIG_KEYS.items()
-        }
-        values["delay"] = dataclasses.replace(values["delay"], seed=values["seed"])
-        return cls(**values)
-
-    def echo(self) -> str:
-        """Canonical key=value form; re-parses to an equal configuration."""
-        return "\n".join(
-            f"{key}={spec.format(getattr(self, spec.field))}"
-            for key, spec in CONFIG_KEYS.items()
-        )
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -363,8 +316,10 @@ def sweep(
             raise ConfigurationError(
                 f"values: {axis.replace('_', ' ')} {item!r} is not {','.join(keys)}"
             )
-        values = {spec.field: spec.parse(part, "values") for spec, part in zip(specs, parts)}
-        tag = "x".join(spec.format(values[spec.field]) for spec in specs)
+        values = {
+            spec.name: spec.metadata["parse"](part, "values") for spec, part in zip(specs, parts)
+        }
+        tag = "x".join(str(values[spec.name]) for spec in specs)
         name = f"{out.stem}_{axis}_{tag}{out.suffix}"
         runs.append((tag, dataclasses.replace(config, **values, out=str(out.with_name(name)))))
     return [(tag, run(per_value)) for tag, per_value in runs]
@@ -485,9 +440,8 @@ def compare_csv(rows: list[dict]) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
     for key, spec in CONFIG_KEYS.items():
-        parser.add_argument(
-            "--" + key.replace("_", "-"), dest=key, help=f"(default {spec.default or 'none'})"
-        )
+        default = spec.metadata["default"] or "none"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=f"(default {default})")
 
 
 def _collect_config(args: argparse.Namespace) -> ExperimentConfig:

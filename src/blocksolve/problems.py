@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 # Matrix entries of the stacked extended rows one set-up batch may hold, so
-# the transient arrays of block extraction and payload maps stay bounded
-# whatever the block count (see ``batches``).
+# the transient arrays of block extraction and of ``build_workspaces``' checks
+# stay bounded whatever the block count (see ``batches``). The payload maps
+# are not batched: ``multisplit.build_links`` builds them one (block,
+# neighbor) pair at a time.
 BATCH_ENTRIES = 1 << 15
 
 FACES = ("x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi")
@@ -78,12 +80,6 @@ class DirichletBoundary:
         if callable(spec):
             return np.array([[float(spec(u, v)) for u in range(nu)] for v in range(nv)])
         return np.full((nv, nu), spec)
-
-    def face_constants(self) -> dict[str, float]:
-        """Per-face constants; raises if any face holds a callable."""
-        if any(callable(v) for v in self._faces.values()):
-            raise ValueError("boundary with callable faces has no constant form")
-        return {name: float(self._faces[name]) for name in FACES}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletBoundary):

@@ -5,7 +5,6 @@ from blocksolve.cli import (
     ExperimentConfig,
     compare,
     format_compare,
-    format_delay,
     format_summary,
     format_sweep,
     main,
@@ -43,15 +42,6 @@ class TestParsing:
         assert parse_delay("fixed:2", 0) == DelayModel("fixed", fixed=2)
         assert parse_delay("uniform:0:3", 1) == DelayModel("uniform", low=0, high=3, seed=1)
         assert parse_delay("jitter:1:4", 0) == DelayModel("drop_free_jitter", low=1, high=4)
-
-    @pytest.mark.parametrize("raw", ["none", "fixed:2", "uniform:0:3", "jitter:1:4"])
-    def test_delay_round_trip(self, raw):
-        assert format_delay(parse_delay(raw, 7)) == raw
-        config = ExperimentConfig.from_mapping({"delay": raw, "seed": "7"})
-        echoed = config.echo().splitlines()
-        assert f"delay={raw}" in echoed
-        lines = dict(line.split("=", 1) for line in echoed)
-        assert ExperimentConfig.from_mapping(lines).delay == config.delay == parse_delay(raw, 7)
 
     def test_delay_errors(self):
         for bad in ("sometimes", "fixed", "uniform:1", "fixed:x"):
@@ -91,11 +81,7 @@ class TestParsing:
         default = ExperimentConfig.from_mapping({})
         assert mapping.keys() == CONFIG_KEYS.keys()
         for spec in CONFIG_KEYS.values():
-            assert getattr(config, spec.field) != getattr(default, spec.field), spec.field
-        lines = dict(
-            line.split("=", 1) for line in config.echo().splitlines() if line
-        )
-        assert ExperimentConfig.from_mapping(lines) == config
+            assert getattr(config, spec.name) != getattr(default, spec.name), spec.name
 
     def test_config_file_layering(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -176,6 +162,26 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"tol": "abc"}, "tol: invalid number 'abc'"),
+            ({"boundary": "faces:x_mid=1"}, "boundary: unknown face 'x_mid'"),
+            ({"tol": 0}, "tol: must be positive"),
+        ],
+    )
+    def test_rejected_settings_write_no_trace(self, tmp_path, capsys, overrides, message):
+        code = cli(tmp_path, *base_args(tmp_path, **overrides))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_empty_boundary_items_are_skipped(self, tmp_path):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        assert cli(tmp_path, *base_args(tmp_path, boundary="faces:x_lo=1", out=plain)) == 0
+        assert cli(tmp_path, *base_args(tmp_path, boundary="faces:x_lo=1,,", out=padded)) == 0
+        assert plain.read_bytes() == padded.read_bytes()
 
     def test_bad_delay_exit_one(self, tmp_path, capsys):
         code = cli(tmp_path, *base_args(tmp_path, delay="sometimes"))
@@ -316,3 +322,17 @@ class TestCompare:
         assert report.read_text().splitlines()[0].startswith("trace,")
         code = cli(tmp_path, "compare", a, tmp_path / "missing.csv")
         assert code == 1
+
+    def test_header_only_trace_exit_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        write_trace(empty, 0)
+        assert cli(tmp_path, "compare", empty) == 1
+        assert capsys.readouterr().err == f"error: {empty}: trace holds no rows\n"
+
+    def test_unlisted_reference_exit_one(self, tmp_path, capsys):
+        a, other = tmp_path / "a.csv", tmp_path / "other.csv"
+        write_trace(a, 10)
+        assert cli(tmp_path, "compare", a, "--reference", other) == 1
+        assert capsys.readouterr().err == (
+            f"error: reference: {str(other)!r} is not among the traces\n"
+        )

@@ -60,6 +60,19 @@ class TestCreateFabric:
         with pytest.raises(ConfigurationError):
             Fabric(1, "sync", buffer_slots=0)
 
+    @pytest.mark.parametrize(
+        "topology,message",
+        [
+            ([[1]], "topology: one neighbor list per worker required"),
+            ([[2], []], "topology: neighbor 2 out of range"),
+        ],
+        ids=["length", "range"],
+    )
+    def test_bad_topology_rejected(self, topology, message):
+        with pytest.raises(ConfigurationError) as raised:
+            Fabric(2, "sync", topology=topology)
+        assert str(raised.value) == message
+
 
 class TestSyncExchange:
     def test_two_workers_swap_constants(self):

@@ -1,9 +1,11 @@
+import itertools
 import math
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import scipy.linalg
 import scipy.sparse
 
 from blocksolve import multisplit
-from blocksolve.comm import DelayModel
+from blocksolve.comm import DelayModel, Fabric
 from blocksolve.errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec
 from blocksolve.linalg import CsrParts, SparseMatrix, ZeroRhsError, dense_solve
@@ -993,6 +995,34 @@ class TestFusedSyncReplay:
     def test_empty_buffer_pool_rejected_without_a_fabric(self):
         with pytest.raises(ConfigurationError, match="R: buffer pool"):
             OuterConfig(buffer_slots=0)
+
+
+class TestOuterConfigGuards:
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"mode": "both"}, "mode: unknown mode 'both'"),
+            ({"tol": 0.0}, "tol: must be positive"),
+            ({"max_outer": 0}, "max_outer: must be at least 1"),
+            ({"residual_check_mode": "sometimes"}, "residual_mode: unknown mode 'sometimes'"),
+            ({"execution": "processes"}, "exec: unknown execution 'processes'"),
+            ({"true_residual_interval": 0}, "true_res_every: must be at least 1"),
+        ],
+    )
+    def test_rejected_settings_name_their_key(self, settings, message):
+        with pytest.raises(ConfigurationError) as raised:
+            OuterConfig(**settings)
+        assert str(raised.value) == message
+
+
+class TestReplayStall:
+    def test_workers_that_only_wait_raise(self):
+        # workers that never complete an iteration and never change the fabric
+        contexts = [SimpleNamespace(gen=itertools.repeat(None)) for _ in range(2)]
+        config = OuterConfig(mode="async")
+        with pytest.raises(ProtocolError) as raised:
+            multisplit._run_replay(None, None, contexts, Fabric(2, "async"), config)
+        assert str(raised.value) == "replay stalled with workers [0, 1] all waiting"
 
 
 def count_factors(monkeypatch):

@@ -28,8 +28,6 @@ class TestBoundary:
     def test_callable_face(self):
         b = DirichletBoundary({"x_lo": lambda j, k: j + 10 * k})
         assert b.face_values("x_lo", 3, 4)[3, 2] == 32.0
-        with pytest.raises(ValueError):
-            b.face_constants()
 
     def test_unknown_face_rejected(self):
         with pytest.raises(ConfigurationError, match="boundary"):
@@ -38,6 +36,20 @@ class TestBoundary:
     def test_equality(self):
         assert DirichletBoundary({"x_lo": 1.0}) == DirichletBoundary({"x_lo": 1.0})
         assert DirichletBoundary({"x_lo": 1.0}) != DirichletBoundary({"x_hi": 1.0})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Grid3D(0, 4, 4), "nx: must be at least 1"),
+        (lambda: decompose(Grid3D(4, 4, 4), (0, 1, 1)), "gx: must be at least 1"),
+    ],
+    ids=["grid", "decompose"],
+)
+def test_sizes_below_one_rejected(build, message):
+    with pytest.raises(ConfigurationError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestBuildLaplace:
