@@ -186,8 +186,9 @@ def _gmres(spec: InnerSolverSpec, a: SparseMatrix):
     passes, each one product with the basis block, as orthogonal as modified
     Gram-Schmidt (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math.
     2005). The reduced system is rotated and solved in Python floats; its
-    residual does not grow within a cycle. Happy breakdown returns the exact
-    solution; a cycle without progress, or a singular reduced system, breaks down."""
+    residual does not grow within a cycle. A happy breakdown meets tolerance
+    0; above 0 the true residual decides, as for any other claim. A cycle
+    without progress, or a singular reduced system, breaks down."""
     n = a.num_rows
     restart = min(spec.restart if spec.restart is not None else DEFAULT_RESTART, n)
     basis = np.empty((restart + 1, n))  # each cycle writes a row before reading it
@@ -204,7 +205,7 @@ def _gmres(spec: InnerSolverSpec, a: SparseMatrix):
             rel = beta / scale
             if not math.isfinite(rel):
                 return x, InnerSolveReport(total, rel, "breakdown", history)
-            if rel <= spec.tolerance or happy:
+            if rel <= spec.tolerance or (happy and spec.tolerance == 0.0):
                 if history:
                     history[-1] = rel
                 return x, InnerSolveReport(total, rel, "tolerance_met", history)

@@ -48,7 +48,6 @@ from .inner_solvers import InnerSolverSpec, prepare
 from .linalg import CsrParts, SparseMatrix, ZeroRhsError, residual_norms, spmv
 from .problems import (
     BlockDecomposition,
-    Grid3D,
     LinearProblem,
     batches,
     block_system,
@@ -543,17 +542,6 @@ SYMMETRIES = [
 ]
 
 
-def _region_box(grid: Grid3D, ext: np.ndarray) -> np.ndarray:
-    """The region's bounding box as a (z, y, x) array holding each point's
-    position in ``ext``, and -1 where the box holds no point of the region.
-    ``ext`` is sorted, so the positions count up in C order."""
-    coords = np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))
-    lows = [c.min() for c in coords]
-    box = np.full([int(c.max() - lo) + 1 for c, lo in zip(coords, lows)], -1)
-    box[tuple(c - lo for c, lo in zip(coords, lows))] = np.arange(ext.shape[0])
-    return box
-
-
 def _equal_reordered(a: CsrParts, b: CsrParts, perm: np.ndarray) -> bool:
     """Whether ``b``, its rows and columns taken in ``perm`` order, is ``a``
     exactly: shape, indptr, indices and data. The entries are compared as
@@ -588,30 +576,24 @@ class _SharedFactor:
         return x, report
 
 
-@dataclass
-class _Factor:
-    """A direct factor and its owner's region and matrix."""
-
-    occupied: np.ndarray  # the owner's bounding box, True at its points
-    a: CsrParts
-    solve: object
-
-
-def _shared_solver(ws: BlockWorkspace, box: np.ndarray, factors: list[_Factor]):
-    """The block's solve through the first factor whose matrix is the
-    block's ``a_ii`` under a symmetry of the grid axes, trying the identity
+def _shared_solver(ws: BlockWorkspace, box: np.ndarray, factors: list[tuple]):
+    """The block's solve through the first factor (occupied box, parts,
+    solve) whose matrix is the block's ``a_ii`` under a symmetry of the grid
+    axes applied to ``box``, its region kind's box; the identity is tried
     first. The parts are compared, so no matrix is built."""
     for axes, flips in SYMMETRIES:
         moved = box.transpose(axes)[flips]
-        for factor in factors:
-            if np.array_equal(moved >= 0, factor.occupied):
-                perm = moved[factor.occupied]
-                if _equal_reordered(factor.a, ws.a_ii_parts, perm):
-                    return _SharedFactor(factor.solve, perm)
+        for occupied, a, solve in factors:
+            if np.array_equal(moved >= 0, occupied):
+                perm = moved[occupied]
+                if _equal_reordered(a, ws.a_ii_parts, perm):
+                    return _SharedFactor(solve, perm)
     return None
 
 
-def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, grid: Grid3D):
+def _prepare_solvers(
+    workspaces: list[BlockWorkspace], spec: InnerSolverSpec, decomp: BlockDecomposition
+):
     """Each block's inner solver, prepared once per solve.
 
     Direct solves hold nothing but their factor, so block b reuses the
@@ -619,11 +601,11 @@ def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, gr
     48 symmetries of the grid axes (an axis permutation times a reflection)
     over b's extended region, equals a's exactly (shape, indptr, indices and
     data). The identity is tried first, so equal matrices share without
-    reordering. Only a region that matches a's point for point under the
-    symmetry is compared entry by entry, part by part, so only the first
-    block of each factor builds its ``a_ii``. Each direct solver is a
-    ``_SharedFactor``; the first block of each factor factors it and names
-    any error.
+    reordering. The search moves the box of b's region kind, and only a
+    region matching a's point for point is compared entry by entry, so only
+    the first block of a factor builds its ``a_ii``, factors it and names
+    any error. No two factors are equal under a symmetry, so a block whose parts
+    equal those of its kind's first block takes that block's solver.
 
     Every other kind gets one solver per block: threads run blocks
     concurrently, and a GMRES solver keeps its basis between calls.
@@ -633,17 +615,19 @@ def _prepare_solvers(workspaces: list[BlockWorkspace], spec: InnerSolverSpec, gr
         spec = replace(spec, restart=spec.max_iterations)
     if spec.kind != "direct":
         return [prepare(spec, ws.a_ii, ws.block_id) for ws in workspaces]
-    by_widths: dict[tuple, list[_Factor]] = {}  # the candidates per sorted box shape
+    factors: list[tuple] = []
+    first: dict[int, tuple] = {}  # each region kind's first parts and solver
     solvers = []
     for ws in workspaces:
-        box = _region_box(grid, ws.ext)
-        candidates = by_widths.setdefault(tuple(sorted(box.shape)), [])
-        solver = _shared_solver(ws, box, candidates)
-        if solver is None:
-            candidates.append(
-                _Factor(box >= 0, ws.a_ii_parts, prepare(spec, ws.a_ii, ws.block_id))
-            )
-            solver = _SharedFactor(candidates[-1].solve, np.arange(ws.n_local))
+        region = int(decomp.region_kinds[ws.block_id])
+        parts, solver = first.get(region, (None, None))
+        if parts is None or not all(map(np.array_equal, parts, ws.a_ii_parts)):
+            box = decomp.kind_boxes[region]
+            solver = _shared_solver(ws, box, factors)
+            if solver is None:
+                factors.append((box >= 0, ws.a_ii_parts, prepare(spec, ws.a_ii, ws.block_id)))
+                solver = _SharedFactor(factors[-1][2], np.arange(ws.n_local))
+            first.setdefault(region, (ws.a_ii_parts, solver))
         solvers.append(solver)
     return solvers
 
@@ -743,6 +727,8 @@ def _block_worker(ctx: _WorkerContext):
                     ws.block_id, r_local**2
                 )
                 if math.sqrt(confirmed) < cfg.tol:
+                    # the run stops on the confirmed value, so its row says so
+                    ctx.records[-1].estimated_residual = math.sqrt(confirmed)
                     ctx.converged = True
                     done = True
             # at the cap the decision is "confirm" or "stop"; a failed
@@ -892,11 +878,7 @@ class _StackedBlocks:
 
     @classmethod
     def build(
-        cls,
-        workspaces: list[BlockWorkspace],
-        decomp: BlockDecomposition,
-        spec: InnerSolverSpec,
-        grid: Grid3D,
+        cls, workspaces: list[BlockWorkspace], decomp: BlockDecomposition, spec: InnerSolverSpec
     ) -> "_StackedBlocks":
         """Stack the workspaces and prepare their solvers.
 
@@ -920,7 +902,7 @@ class _StackedBlocks:
             ),
             shape=(int(offsets[-1]), n),
         )
-        solvers = _prepare_solvers(workspaces, spec, grid)
+        solvers = _prepare_solvers(workspaces, spec, decomp)
         batches: dict[object, list[np.ndarray]] = {}  # in the order of first blocks
         if spec.kind == "direct":
             for lo, solver in zip(offsets, solvers):
@@ -983,7 +965,7 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     Returns (solution, rows, converged, events), as ``_run_workers`` does;
     the synchronous fabric ops record no events, so the event list is empty.
     """
-    stacked = _StackedBlocks.build(workspaces, decomp, config.inner, problem.grid)
+    stacked = _StackedBlocks.build(workspaces, decomp, config.inner)
     b = problem.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -1035,7 +1017,7 @@ def _run_workers(problem, decomp, workspaces, config):
         decomp.num_blocks, config.mode, config.buffer_slots, config.delay,
         decomp.neighbors, config.record_comm_events,
     )
-    solvers = _prepare_solvers(workspaces, config.inner, problem.grid)
+    solvers = _prepare_solvers(workspaces, config.inner, decomp)
     contexts = [_WorkerContext(*args, fabric, config) for args in zip(workspaces, links, solvers)]
     if config.execution == "replay":
         samples = _run_replay(problem, workspaces, contexts, fabric, config)
@@ -1106,7 +1088,7 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
-    stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1), problem.grid)
+    stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1))
 
     def apply(z: np.ndarray) -> np.ndarray:
         rhs = -spmv(stacked.coupling, stacked.merge(z))

@@ -213,6 +213,11 @@ class BlockDecomposition:
     ``extended_indices[b]`` is the sorted array of global unknown indices in
     block b's extended region; ``cover_counts`` maps each grid point to the
     number of extended regions covering it (the merge weight is its inverse).
+
+    Blocks of one region kind have the same region up to a shift:
+    ``region_kinds[b]`` is block b's kind, and ``kind_boxes[k]`` is kind k's
+    bounding box as a (z, y, x) array of each point's position in the
+    region's sorted indices, -1 where the box holds no point of it.
     """
 
     grid: Grid3D
@@ -222,6 +227,8 @@ class BlockDecomposition:
     extended_indices: list[np.ndarray]
     neighbors: list[list[int]]
     cover_counts: np.ndarray
+    region_kinds: np.ndarray
+    kind_boxes: list[np.ndarray]
 
     @property
     def num_blocks(self) -> int:
@@ -321,6 +328,7 @@ def decompose(
     members = np.argsort(kind, kind="stable")
     ends = np.cumsum(np.bincount(kind, minlength=np.prod(counts)))
     extended_indices = [None] * len(owned)
+    kind_boxes = []
     for (kz, ky, kx), blocks in zip(
         itertools.product(*map(range, counts[::-1])), np.split(members, ends[:-1])
     ):
@@ -328,6 +336,9 @@ def decompose(
         ox, oy, oz = axis_offsets[0][kx], axis_offsets[1][ky], axis_offsets[2][kz]
         inside = dx + dy[:, None] + dz[:, None, None] <= overlap
         offsets = (ox + oy[:, None] + oz[:, None, None])[inside]
+        # the padded box bounds the region; C order in it is sorted order
+        kind_boxes.append(np.full(inside.shape, -1))
+        kind_boxes[-1][inside] = np.arange(offsets.shape[0])
         for blk, region in zip(blocks.tolist(), base[blocks, None] + offsets):
             extended_indices[blk] = region
 
@@ -372,6 +383,8 @@ def decompose(
         cover_counts=np.bincount(
             np.concatenate(extended_indices), minlength=grid.num_unknowns
         ),
+        region_kinds=kind,
+        kind_boxes=kind_boxes,
     )
 
 

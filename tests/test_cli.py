@@ -136,6 +136,18 @@ class TestRun:
         assert summary.iterations_per_second is not None
         assert summary.iterations_per_second > 0
 
+    def test_baseline_breakdown_exit_one(self, tmp_path, capsys):
+        # gmres(1) stops progressing long before 1e-300, and a cycle without
+        # progress breaks down
+        code = cli(
+            tmp_path, "run", "--mode", "baseline", "--inner", "gmres", "--restart", 1,
+            "--tol", "1e-300", "--nx", 4, "--ny", 4, "--nz", 4,
+            "--out", tmp_path / "trace.csv",
+        )
+        assert code == 1
+        assert "baseline solver breakdown" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_max_outer_exhaustion_exit_two(self, tmp_path):
         code = cli(tmp_path, *base_args(tmp_path, max_outer=1, tol="1e-12"))
         assert code == 2
@@ -328,6 +340,15 @@ class TestCompare:
         write_trace(empty, 0)
         assert cli(tmp_path, "compare", empty) == 1
         assert capsys.readouterr().err == f"error: {empty}: trace holds no rows\n"
+
+    def test_malformed_trace_exit_one(self, tmp_path, capsys):
+        a, bad = tmp_path / "a.csv", tmp_path / "bad.csv"
+        write_trace(a, 10)
+        bad.write_text(f"{TRACE_HEADER}\n0,0.0,1e-7,,10\n")
+        assert cli(tmp_path, "compare", a, bad) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed trace row '0,0.0,1e-7,,10'\n"
+        )
 
     def test_unlisted_reference_exit_one(self, tmp_path, capsys):
         a, other = tmp_path / "a.csv", tmp_path / "other.csv"

@@ -148,6 +148,15 @@ class TestCG:
         assert report.stop_reason == "tolerance_met"
         assert residual_norms(a, x, b)[1] <= tol * (1 + 1e-12)
 
+    def test_a_false_recurrence_claim_continues_to_an_honest_stop(self):
+        # the recurrence claims 1e-15 before the true residual meets it: the
+        # re-check restarts the recurrence from the true residual
+        problem = build_laplace_3d(Grid3D(8, 8, 8, DirichletBoundary({"x_lo": 1.0})))
+        a, b = problem.matrix, problem.rhs
+        x, report = prepare(InnerSolverSpec("cg", 300, 1e-15), a)(b, np.zeros(b.shape[0]))
+        assert report.stop_reason == "tolerance_met"
+        assert report.final_relative_residual == residual_norms(a, x, b)[1] <= 1e-15
+
 
 class TestGMRES:
     def test_identity_one_iteration(self):
@@ -183,6 +192,28 @@ class TestGMRES:
         assert report.stop_reason == "tolerance_met"
         assert report.iterations_used == 1
         assert np.allclose(x, [0.5, 0.0], atol=1e-15)
+
+    def test_happy_breakdown_at_a_positive_tolerance_is_checked(self):
+        # SPD with condition 1e10: the Krylov space closes at step 40, but
+        # the true residual misses 1e-15, so the cap is reported
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = SparseMatrix.from_dense((q * np.logspace(0, 10, 40)) @ q.T)
+        b = rng.standard_normal(40)
+        spec = InnerSolverSpec("gmres", 40, 1e-15, restart=40)
+        x, report = prepare(spec, a)(b, np.zeros(40))
+        assert report.stop_reason == "max_iterations"
+        assert report.iterations_used == 40
+        assert report.final_relative_residual == residual_norms(a, x, b)[1] > 1e-15
+
+    def test_overflow_mid_cycle_reports_breakdown(self):
+        a = SparseMatrix.from_dense(np.array([[1e300, 1e300], [1e300, -1e300]]))
+        solve = prepare(InnerSolverSpec("gmres", 5, restart=5), a)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _, report = solve(np.array([1.0, 2.0]), np.zeros(2))
+        assert report.stop_reason == "breakdown"
+        assert report.iterations_used == 1
+        assert not np.isfinite(report.final_relative_residual)
 
     def test_stagnation_reports_breakdown(self):
         # cyclic shift: GMRES makes no progress until the full dimension

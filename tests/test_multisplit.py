@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -496,9 +497,7 @@ class TestMergeOverlap:
             store_segment(link, state, nbr, values[nbr][sent_points(workspaces, links, nbr, 2)])
         merge_overlap(ws, link, state)
 
-        stacked = multisplit._StackedBlocks.build(
-            workspaces, decomp, InnerSolverSpec("jacobi", 1), problem.grid
-        )
+        stacked = multisplit._StackedBlocks.build(workspaces, decomp, InnerSolverSpec("jacobi", 1))
         mean = stacked.merge(np.concatenate([values[c][w.ext] for c, w in enumerate(workspaces)]))
         assert mean[4] == 0.0
         assert state.x_local[np.searchsorted(ws.ext, 4)] == mean[4]
@@ -633,6 +632,28 @@ class TestOuterSolve:
         result = outer_solve(problem, config)
         assert result.converged
         assert result.final_true_residual <= 1e-6
+
+    def test_async_stopping_row_reports_the_confirmed_residual(self):
+        # the stale estimates fall to ~3e-16 while the iterate's residual is
+        # ~7e-7; the stop is taken on the confirmed value, and the last row
+        # shows it. All of b lies in block 0's owned rows and block 1 owns
+        # none of it, so both residues are scaled by ||b|| and the confirmed
+        # value is the true relative residual
+        problem = make_problem(4, DirichletBoundary({"x_lo": 1.0}))
+        config = OuterConfig(
+            block_grid=(2, 1, 1),
+            inner=InnerSolverSpec("gmres", 10),
+            mode="async",
+            delay=DelayModel("uniform", low=0, high=2, seed=5),
+            tol=1e-6,
+        )
+        result = outer_solve(problem, config)
+        rows = result.trace.rows
+        assert result.converged and len(rows) == 17
+        assert rows[-2].estimated_residual < 1e-15
+        assert rows[-1].estimated_residual == pytest.approx(
+            result.final_true_residual, rel=1e-10
+        )
 
     def test_exhaustion_reported_distinctly(self):
         problem = make_problem(8)
@@ -1086,7 +1107,7 @@ def direct_stacked(problem, blocks):
     decomp = decompose(problem.grid, blocks, 1)
     workspaces = build_workspaces(problem, decomp)
     spec = InnerSolverSpec("direct", 1)
-    return workspaces, multisplit._StackedBlocks.build(workspaces, decomp, spec, problem.grid)
+    return workspaces, multisplit._StackedBlocks.build(workspaces, decomp, spec)
 
 
 class TestSharedDirectFactors:
@@ -1139,12 +1160,61 @@ class TestSharedDirectFactors:
         iteration_operator(problem, decompose(problem.grid, blocks, 1))
         assert len(factored) == distinct_block_matrices(shape, blocks)
 
+    @pytest.mark.parametrize(
+        "shape,blocks,owners,digest",
+        [
+            # the decompositions the brute-force class count checks
+            ((24, 24, 24), (4, 4, 4), [0, 1, 5, 21], "e61347eecf796c27"),
+            (
+                (26, 26, 26),
+                (4, 4, 4),
+                [0, 1, 2, 3, 5, 6, 7, 10, 11, 15, 21, 22, 23, 26, 27, 31, 42, 43, 47, 63],
+                "273c54acc4b63789",
+            ),
+            ((14, 8, 8), (4, 2, 2), [0, 1, 2, 3], "31f3b1134389712c"),
+            # owned widths 5, 5, 5, 5, 4 on every axis
+            ((24, 24, 24), (5, 5, 5), [0, 1, 4, 6, 9, 24, 31, 34, 49, 124], "4027eaa1a294cd86"),
+            ((7, 7, 7), (2, 2, 2), [0, 1, 3, 7], "88763e55de67a75a"),
+        ],
+        ids=["24^3-4^3", "26^3-uneven", "14x8x8-mixed", "24^3-5^3", "7^3-2^3"],
+    )
+    def test_binding_matches_the_per_block_search(self, shape, blocks, owners, digest):
+        # the values of a symmetry search over each block's own bounding
+        # box: the factor owners, and a digest of every block's factor owner
+        # and perm
+        problem = build_laplace_3d(Grid3D(*shape))
+        decomp = decompose(problem.grid, blocks, 1)
+        solvers = multisplit._prepare_solvers(
+            build_workspaces(problem, decomp), InnerSolverSpec("direct", 1), decomp
+        )
+        owner = {}
+        bound = hashlib.sha256()
+        for blk, solver in enumerate(solvers):
+            bound.update(np.int64(owner.setdefault(solver.solve, blk)).tobytes())
+            bound.update(solver.perm.astype(np.int64).tobytes())
+        assert list(owner.values()) == owners
+        assert bound.hexdigest()[:16] == digest
+
+    def test_one_symmetry_search_per_region_kind(self, monkeypatch):
+        problem = make_problem(24)
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        original = multisplit._shared_solver
+        searched = []
+
+        def counting(ws, box, factors):
+            searched.append(ws.block_id)
+            return original(ws, box, factors)
+
+        monkeypatch.setattr(multisplit, "_shared_solver", counting)
+        iteration_operator(problem, decomp)
+        assert len(decomp.kind_boxes) == len(searched) == 27
+        assert sorted(decomp.region_kinds[searched].tolist()) == list(range(27))
+
     def test_reflected_solves_match_their_own_factor(self):
         problem = make_problem(24)
-        workspaces = build_workspaces(problem, decompose(problem.grid, (4, 4, 4), 1))
-        solvers = multisplit._prepare_solvers(
-            workspaces, InnerSolverSpec("direct", 1), problem.grid
-        )
+        decomp = decompose(problem.grid, (4, 4, 4), 1)
+        workspaces = build_workspaces(problem, decomp)
+        solvers = multisplit._prepare_solvers(workspaces, InnerSolverSpec("direct", 1), decomp)
         rng = np.random.default_rng(3)
         for ws, solve in zip(workspaces, solvers):
             b = rng.standard_normal(ws.n_local)
@@ -1433,4 +1503,18 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time,residual\n0,1\n")
         with pytest.raises(ValueError, match="bad.csv"):
+            ResidualTrace.read_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{TRACE_HEADER}\n0,0,0.5,,3,0\n\n1,1,0.25,0.3,4,1\n\n")
+        assert ResidualTrace.read_csv(path).rows == [
+            multisplit.TraceRow(0, 0.0, 0.5, None, 3, 0),
+            multisplit.TraceRow(1, 1.0, 0.25, 0.3, 4, 1),
+        ]
+
+    def test_malformed_row_names_file_and_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(f"{TRACE_HEADER}\n0,0,0.5,,3,0\n1,1,0.25\n")
+        with pytest.raises(ValueError, match="short.csv: malformed trace row '1,1,0.25'"):
             ResidualTrace.read_csv(path)

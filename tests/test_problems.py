@@ -350,6 +350,29 @@ class TestDecomposeOracle:
         decomp = decompose(grid, (16, 16, 16), 1)
         assert_same_regions(decomp, *reference_regions(grid, decomp.owned, 1))
 
+    @pytest.mark.parametrize(
+        "shape,blocks,overlap",
+        [
+            ((31, 13, 11), (7, 3, 2), 0),
+            ((31, 13, 11), (7, 3, 2), 3),
+            ((9, 7, 8), (3, 3, 3), 1),
+            ((6, 1, 1), (3, 1, 1), 1),
+        ],
+    )
+    def test_kind_boxes_are_each_blocks_bounding_box(self, shape, blocks, overlap):
+        # each block's box from its own indices: the point's position in the
+        # region at its (z, y, x) offset from the region's lowest corner
+        grid = Grid3D(*shape)
+        decomp = decompose(grid, blocks, overlap)
+        assert decomp.region_kinds.shape == (decomp.num_blocks,)
+        assert set(decomp.region_kinds.tolist()) == set(range(len(decomp.kind_boxes)))
+        for ext, kind in zip(decomp.extended_indices, decomp.region_kinds):
+            coords = np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))
+            lows = [c.min() for c in coords]
+            box = np.full([c.max() - lo + 1 for c, lo in zip(coords, lows)], -1)
+            box[tuple(c - lo for c, lo in zip(coords, lows))] = np.arange(ext.size)
+            assert np.array_equal(decomp.kind_boxes[kind], box)
+
     def test_neighbors_across_a_narrow_block(self):
         # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
         # reach x = 2 and x = 3, one stencil step apart
