@@ -70,7 +70,6 @@ __all__ = [
     "local_relative_residual",
     "combined_residual",
     "true_relative_residual",
-    "check_termination",
     "iteration_operator",
     "outer_solve",
 ]
@@ -146,8 +145,9 @@ class BlockWorkspace:
 
     The block's ``a_ii`` and ``coupling`` are held as the CSR parts
     ``block_system`` extracted, views of its batch arrays; each
-    ``SparseMatrix`` is built and checked the first time it is read. The
-    payload maps only the per-block workers read are a ``BlockLinks``.
+    ``SparseMatrix`` is built and checked the first time it is read; a
+    per-block worker's local residual reads both. The payload maps only the
+    per-block workers read are a ``BlockLinks``.
     """
 
     block_id: int
@@ -166,7 +166,7 @@ class BlockWorkspace:
         return int(self.ext.shape[0])
 
     # the block's matrices, built and checked on first use: synchronous
-    # replay reads the parts, and a direct solve only its factor's first block
+    # replay reads the parts, and its direct solves only a factor's first block
     @cached_property
     def a_ii(self) -> SparseMatrix:
         return self.a_ii_parts.matrix()
@@ -174,16 +174,6 @@ class BlockWorkspace:
     @cached_property
     def coupling(self) -> SparseMatrix:
         return self.coupling_parts.matrix()
-
-    # owned rows only, for the local residual; built on first use, since
-    # synchronous replay never evaluates a residual per block
-    @cached_property
-    def a_owned(self) -> SparseMatrix:
-        return SparseMatrix(self.a_ii.csr[self.owned_local])
-
-    @cached_property
-    def coupling_owned(self) -> SparseMatrix:
-        return SparseMatrix(self.coupling.csr[self.owned_local])
 
 
 @dataclass
@@ -198,10 +188,11 @@ class BlockLinks:
     its values at its shared points. ``merge_slots`` gives the tracked slot
     of every value in that sequence and ``owner_pick`` the position, per
     tracked point, of the value sent by the point's owning block.
+    ``send_idx`` is keyed by the block's neighbors, in ascending id, so its
+    items are the block's outgoing payloads.
     """
 
     cover: np.ndarray  # covering-block counts per tracked point
-    neighbors: list[int]
     send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
     sources: list[int]  # this block and its neighbors, in ascending id
     segments: list[slice]  # each source's part of the merge value sequence
@@ -363,7 +354,6 @@ def build_links(
         links.append(
             BlockLinks(
                 cover=cover,
-                neighbors=list(decomp.neighbors[blk]),
                 send_idx=send_idx[blk],
                 sources=sources,
                 segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
@@ -406,7 +396,9 @@ def local_relative_residual(ws: BlockWorkspace, links: BlockLinks, state: BlockS
     (possibly stale) contribution at every other point, so the combined
     estimate always dominates the true residual of the gathered iterate.
     Denominator: the owned part of ||b||, falling back to the global ||b||
-    when the owned part is zero.
+    when the owned part is zero. Every row of ``a_ii`` and ``coupling`` is
+    applied and the owned ones kept; each row sums on its own, so no
+    owned-row copy of either matrix is needed.
     """
     n_halo = ws.halo_cols.shape[0]
     owner_values = state.values[links.owner_pick]
@@ -415,10 +407,10 @@ def local_relative_residual(ws: BlockWorkspace, links: BlockLinks, state: BlockS
         x_view[ws.shared_local] = owner_values[n_halo:]
     else:
         x_view = state.x_local
-    r = ws.b_ext[ws.owned_local] - spmv(ws.a_owned, x_view)
+    r = ws.b_ext - spmv(ws.a_ii, x_view)
     if n_halo:
-        r -= spmv(ws.coupling_owned, owner_values[:n_halo])
-    return float(np.linalg.norm(r)) / ws.residual_scale
+        r -= spmv(ws.coupling, owner_values[:n_halo])
+    return float(np.linalg.norm(r[ws.owned_local])) / ws.residual_scale
 
 
 def combined_residual(local_residuals) -> float:
@@ -429,26 +421,6 @@ def combined_residual(local_residuals) -> float:
 def true_relative_residual(problem: LinearProblem, x: np.ndarray) -> float:
     """||b - Ax|| / ||b|| assembled from the full operator (diagnostic)."""
     return residual_norms(problem.matrix, x, problem.rhs)[1]
-
-
-def check_termination(
-    estimate: float, tol: float, completed: int, max_outer: int, mode: str
-) -> str:
-    """Decide {continue | confirm | stop} after ``completed`` iterations.
-
-    Synchronous estimates are exact, so crossing the tolerance stops
-    directly. Asynchronous estimates may be stale; crossing the tolerance
-    only triggers a confirmation round.
-    """
-    if mode == "sync":
-        if estimate < tol or completed >= max_outer:
-            return "stop"
-        return "continue"
-    if estimate < tol:
-        return "confirm"
-    if completed >= max_outer:
-        return "stop"
-    return "continue"
 
 
 @dataclass
@@ -579,8 +551,9 @@ class _SharedFactor:
 def _shared_solver(ws: BlockWorkspace, box: np.ndarray, factors: list[tuple]):
     """The block's solve through the first factor (occupied box, parts,
     solve) whose matrix is the block's ``a_ii`` under a symmetry of the grid
-    axes applied to ``box``, its region kind's box; the identity is tried
-    first. The parts are compared, so no matrix is built."""
+    axes applied to ``box``, its region kind's mask numbered in the region's
+    order (-1 outside); the identity is tried first. The parts are
+    compared, so no matrix is built."""
     for axes, flips in SYMMETRIES:
         moved = box.transpose(axes)[flips]
         for occupied, a, solve in factors:
@@ -622,10 +595,12 @@ def _prepare_solvers(
         region = int(decomp.region_kinds[ws.block_id])
         parts, solver = first.get(region, (None, None))
         if parts is None or not all(map(np.array_equal, parts, ws.a_ii_parts)):
-            box = decomp.kind_boxes[region]
+            mask = decomp.kind_masks[region]
+            box = np.full(mask.shape, -1)
+            box[mask] = np.arange(ws.n_local)
             solver = _shared_solver(ws, box, factors)
             if solver is None:
-                factors.append((box >= 0, ws.a_ii_parts, prepare(spec, ws.a_ii, ws.block_id)))
+                factors.append((mask, ws.a_ii_parts, prepare(spec, ws.a_ii, ws.block_id)))
                 solver = _SharedFactor(factors[-1][2], np.arange(ws.n_local))
             first.setdefault(region, (ws.a_ii_parts, solver))
         solvers.append(solver)
@@ -673,7 +648,9 @@ def _block_worker(ctx: _WorkerContext):
     k = 0
     while True:
         if fabric.stop_requested():
-            # only the driver raises this, after verifying convergence
+            # the replay driver asks for this when a true-residual sample
+            # meets the target; the threads driver asks for it after a
+            # worker error, which it then re-raises
             ctx.converged = True
             return
         fabric.begin_iteration(ws.block_id, k)
@@ -686,7 +663,7 @@ def _block_worker(ctx: _WorkerContext):
         state.values[links.segments[own]] = x_new[ws.shared_local]
         state.applied[own] = k
 
-        outgoing = {nbr: x_new[links.send_idx[nbr]] for nbr in links.neighbors}
+        outgoing = {nbr: x_new[idx] for nbr, idx in links.send_idx.items()}
         if cfg.mode == "sync":
             incoming = yield from fabric.halo_exchange_sync(
                 ws.block_id, outgoing, k
@@ -707,14 +684,11 @@ def _block_worker(ctx: _WorkerContext):
         staleness = k - int(state.applied.min())
         ctx.records.append(TraceRow(k, now, estimate, None, report.iterations_used, staleness))
 
-        done = False
-        decision = check_termination(estimate, cfg.tol, k + 1, cfg.max_outer, cfg.mode)
+        # an asynchronous estimate may be stale, so it stops only once confirmed
         if cfg.mode == "sync":
-            if decision == "stop":
-                ctx.converged = estimate < cfg.tol
-                done = True
+            ctx.converged = estimate < cfg.tol
         else:
-            if decision == "confirm":
+            if estimate < cfg.tol:
                 fabric.request_confirm()
             if fabric.confirm_pending():
                 # flush every worker's current payloads synchronously so
@@ -730,15 +704,9 @@ def _block_worker(ctx: _WorkerContext):
                     # the run stops on the confirmed value, so its row says so
                     ctx.records[-1].estimated_residual = math.sqrt(confirmed)
                     ctx.converged = True
-                    done = True
-            # at the cap the decision is "confirm" or "stop"; a failed
-            # confirmation stops there too
-            if not done and k + 1 >= cfg.max_outer:
-                ctx.converged = False
-                done = True
 
         yield ("iter", k)
-        if done:
+        if ctx.converged or k + 1 >= cfg.max_outer:
             return
         k += 1
 
@@ -995,8 +963,8 @@ def _run_sync_replay(problem, decomp, workspaces, config):
         if true_mode or k % config.true_residual_interval == 0:
             sample = float(np.linalg.norm(r)) / b_norm
         rows.append(TraceRow(k, float(k), estimate, sample, inner_iterations, 0))
-        if check_termination(estimate, config.tol, k + 1, config.max_outer, "sync") == "stop":
-            converged = estimate < config.tol
+        converged = estimate < config.tol
+        if converged or k + 1 >= config.max_outer:
             break
         if true_mode and sample < config.tol:
             converged = True

@@ -215,9 +215,10 @@ class BlockDecomposition:
     number of extended regions covering it (the merge weight is its inverse).
 
     Blocks of one region kind have the same region up to a shift:
-    ``region_kinds[b]`` is block b's kind, and ``kind_boxes[k]`` is kind k's
-    bounding box as a (z, y, x) array of each point's position in the
-    region's sorted indices, -1 where the box holds no point of it.
+    ``region_kinds[b]`` is block b's kind, and ``kind_masks[k]`` is kind k's
+    region in its bounding box, a (z, y, x) bool array. The box's C order is
+    the region's sorted order, so the n-th True entry is the region's n-th
+    point.
     """
 
     grid: Grid3D
@@ -228,7 +229,7 @@ class BlockDecomposition:
     neighbors: list[list[int]]
     cover_counts: np.ndarray
     region_kinds: np.ndarray
-    kind_boxes: list[np.ndarray]
+    kind_masks: list[np.ndarray]
 
     @property
     def num_blocks(self) -> int:
@@ -328,7 +329,7 @@ def decompose(
     members = np.argsort(kind, kind="stable")
     ends = np.cumsum(np.bincount(kind, minlength=np.prod(counts)))
     extended_indices = [None] * len(owned)
-    kind_boxes = []
+    kind_masks = []
     for (kz, ky, kx), blocks in zip(
         itertools.product(*map(range, counts[::-1])), np.split(members, ends[:-1])
     ):
@@ -337,8 +338,7 @@ def decompose(
         inside = dx + dy[:, None] + dz[:, None, None] <= overlap
         offsets = (ox + oy[:, None] + oz[:, None, None])[inside]
         # the padded box bounds the region; C order in it is sorted order
-        kind_boxes.append(np.full(inside.shape, -1))
-        kind_boxes[-1][inside] = np.arange(offsets.shape[0])
+        kind_masks.append(inside)
         for blk, region in zip(blocks.tolist(), base[blocks, None] + offsets):
             extended_indices[blk] = region
 
@@ -384,7 +384,7 @@ def decompose(
             np.concatenate(extended_indices), minlength=grid.num_unknowns
         ),
         region_kinds=kind,
-        kind_boxes=kind_boxes,
+        kind_masks=kind_masks,
     )
 
 

@@ -187,7 +187,6 @@ def per_block_workspaces(problem, decomp):
         links.append(
             multisplit.BlockLinks(
                 cover=decomp.cover_counts[tracked].astype(float),
-                neighbors=list(decomp.neighbors[blk]),
                 send_idx=send_idx[blk],
                 sources=sources,
                 segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],

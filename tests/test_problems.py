@@ -365,13 +365,18 @@ class TestDecomposeOracle:
         grid = Grid3D(*shape)
         decomp = decompose(grid, blocks, overlap)
         assert decomp.region_kinds.shape == (decomp.num_blocks,)
-        assert set(decomp.region_kinds.tolist()) == set(range(len(decomp.kind_boxes)))
+        assert set(decomp.region_kinds.tolist()) == set(range(len(decomp.kind_masks)))
         for ext, kind in zip(decomp.extended_indices, decomp.region_kinds):
             coords = np.unravel_index(ext, (grid.nz, grid.ny, grid.nx))
             lows = [c.min() for c in coords]
             box = np.full([c.max() - lo + 1 for c, lo in zip(coords, lows)], -1)
             box[tuple(c - lo for c, lo in zip(coords, lows))] = np.arange(ext.size)
-            assert np.array_equal(decomp.kind_boxes[kind], box)
+            # the mask's C order is the region's sorted order
+            mask = decomp.kind_masks[kind]
+            numbered = np.full(mask.shape, -1)
+            numbered[mask] = np.arange(ext.size)
+            assert mask.dtype == bool
+            assert np.array_equal(numbered, box)
 
     def test_neighbors_across_a_narrow_block(self):
         # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
