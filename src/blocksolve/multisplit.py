@@ -4,11 +4,11 @@ Each outer iteration a block: (1) assembles its local right-hand side from
 the latest halo values, (2) runs the inner solver over its extended region
 warm-started from the current local solution, (3) swaps halo payloads with
 its neighbors (synchronously or via the non-blocking R-buffer protocol;
-overlap contributions ride in the same payloads), (4) merges overlapping
-values with equal weights over the covering blocks, (5) computes its local
-relative residual on its owned rows, and (6) folds it into the global
-estimate: the square root of the sum of squared block local relative
-residues.
+overlap values ride in the same payloads), (4) takes every point it does not
+own, halo or overlap, from the point's owning block (restricted additive
+Schwarz), (5) computes its local relative residual on its owned rows, and
+(6) folds it into the global estimate: the square root of the sum of squared
+block local relative residues.
 
 Synchronous runs stop as soon as that combined estimate drops below the
 target. Asynchronous estimates can be stale, so a worker whose estimate
@@ -17,13 +17,13 @@ reduction of the current local residues; the run stops only if the
 confirmed value is below the target.
 
 Synchronous replay runs each outer iteration as one stacked iteration over
-all blocks: every block merges a point to the same mean over its covering
-blocks, and every owner value is the current iterate, so one global mean
-feeds every block's halo and overlap, and the block-local residues are
-segment norms of one global residual. Asynchronous replay runs one generator
-worker per block in deterministic round-robin. In both, trace timestamps are
-iteration counts. Threaded execution runs one generator worker per block on
-its own thread against wall-clock time.
+all blocks: every point's owner value is the current iterate, so one global
+iterate, gathered from the owners, feeds every block's halo and overlap,
+and the block-local residues are segment norms of one global residual.
+Asynchronous replay runs one generator worker per block in deterministic
+round-robin. In both, trace timestamps are iteration counts. Threaded
+execution runs one generator worker per block on its own thread against
+wall-clock time.
 
 Set-up builds each block's system (``build_workspaces``). Only the per-block
 workers exchange payloads, so they alone build the payload maps
@@ -126,16 +126,14 @@ class OuterConfig:
 class BlockState:
     """Mutable per-worker solve state.
 
-    ``values`` is the links' merge value sequence: each source block's
-    latest values at the points this block tracks, one segment per source in
-    ascending block id. The block's own inner-solve values at its shared
-    points fill its own segment.
+    ``values`` holds the latest value received from each tracked point's
+    owner, in the links' tracked order: halo columns, then shared points.
     """
 
     x_local: np.ndarray  # over the extended region
-    halo_values: np.ndarray  # merged values at the coupled external columns
-    values: np.ndarray  # merge value sequence, by source block
-    applied: np.ndarray  # outer iteration of each segment (-1 = initial guess)
+    halo_values: np.ndarray  # owner values at the coupled external columns
+    values: np.ndarray  # latest owner value per tracked point
+    applied: np.ndarray  # outer iteration of each source's payload (-1 = initial guess)
 
 
 @dataclass
@@ -182,29 +180,24 @@ class BlockLinks:
 
     The block tracks the points it needs from other blocks in one ordering:
     its halo columns first, then its shared points (the non-owned part of
-    the extended region). The merge reads one value sequence with a segment
-    per source block, in ascending block id: a neighbor's segment is its
-    payload, and the block's own segment, at its own place among them, is
-    its values at its shared points. ``merge_slots`` gives the tracked slot
-    of every value in that sequence and ``owner_pick`` the position, per
-    tracked point, of the value sent by the point's owning block.
-    ``send_idx`` is keyed by the block's neighbors, in ascending id, so its
-    items are the block's outgoing payloads.
+    the extended region), and takes each from the block that owns it. So a
+    source's payload carries its values at the tracked points it owns, in
+    global index order, and ``recv_slots`` maps each source, in ascending
+    id, to the tracked slots its payload fills. ``send_idx`` is keyed by
+    every neighbor, in ascending id, so its items are the block's outgoing
+    payloads, one per neighbor, empty where the neighbor takes no point from
+    the block.
     """
 
-    cover: np.ndarray  # covering-block counts per tracked point
     send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
-    sources: list[int]  # this block and its neighbors, in ascending id
-    segments: list[slice]  # each source's part of the merge value sequence
-    merge_slots: np.ndarray  # tracked slot of each merged value
-    owner_pick: np.ndarray  # merged-value position of each tracked point's owner
+    recv_slots: dict[int, np.ndarray]  # tracked slots of each source's payload
 
     def initial_state(self, ws: BlockWorkspace) -> BlockState:
         return BlockState(
             x_local=np.zeros(ws.n_local),
             halo_values=np.zeros(ws.halo_cols.shape[0]),
-            values=np.zeros(self.merge_slots.shape[0]),
-            applied=np.full(len(self.sources), -1),
+            values=np.zeros(ws.halo_cols.shape[0] + ws.shared_local.shape[0]),
+            applied=np.full(len(self.recv_slots), -1),
         )
 
 
@@ -213,6 +206,7 @@ _GUARDS = (
     "coupled column outside every extended region",
     "payload coverage does not match the covering-block counts",
     "some tracked point is not owned by exactly one neighbor",
+    "payload coverage: a tracked point's owner is not a neighbor",
 )
 
 
@@ -243,8 +237,8 @@ def build_workspaces(
         owners[inside] += 1
     owner_of = owner_of.ravel()
     box_size = np.array([box.size for box in decomp.owned])
-    # the points whose payload maps could not be built: their covering count
-    # is not the number of regions that hold them, or not one box owns them
+    # the points the decomposition miscounts: their covering count is not
+    # the number of regions that hold them, or not one box owns them
     miscounted = decomp.cover_counts != np.bincount(np.concatenate(exts), minlength=b.shape[0])
     misowned = owners.ravel() != 1
 
@@ -313,54 +307,39 @@ def build_links(
 ) -> list[BlockLinks]:
     """Every block's payload index maps, for the per-block workers.
 
-    A payload from block s to block t carries s's values at the points t
-    tracks, in global index order: one ``searchsorted`` of t's tracked
-    points in s's region per (block, neighbor) pair. ``build_workspaces``
-    checked each tracked point's covering count and owner, so the covering
-    blocks found among t and its neighbors must make up that count; else a
-    neighbor is missing from t's list, and the lowest such t raises
-    ProtocolError.
+    Block t takes each point it tracks from the point's owner s, so the
+    payload from s to t carries s's values at those points, in global index
+    order. One sort per block groups t's tracked points by owner, and one
+    map of each point's position in its owner's region gives what s ships.
+    ``build_workspaces`` checked that each tracked point has one owner; the
+    fabric carries payloads between neighbors only, so an owner that is not
+    among t's neighbors fails t, and the lowest such t raises ProtocolError.
     """
-    owner_of = np.full(decomp.cover_counts.shape[0], -1)
+    n = decomp.cover_counts.shape[0]
+    owner_of = np.empty(n, dtype=np.intp)
+    owner_pos = np.empty(n, dtype=np.intp)
     for ws in workspaces:
         owner_of[ws.owned_global] = ws.block_id
-    send_idx: list[dict[int, np.ndarray]] = [{} for _ in workspaces]
+        owner_pos[ws.owned_global] = ws.owned_local
+    nothing = np.empty(0, dtype=np.intp)
+    send_idx = [dict.fromkeys(sorted(nbrs), nothing) for nbrs in decomp.neighbors]
     links = []
     for ws in workspaces:
         blk = ws.block_id
-        n_halo = ws.halo_cols.shape[0]
         tracked = np.concatenate((ws.halo_cols, ws.ext[ws.shared_local]))
-        slot_of = np.argsort(tracked)
-        points = tracked[slot_of]
-        sources = sorted([blk, *decomp.neighbors[blk]])
-        slots = []
-        for src in sources:
-            if src == blk:
-                slots.append(np.arange(n_halo, tracked.shape[0]))
-                continue
-            ext = workspaces[src].ext
-            pos = np.minimum(np.searchsorted(ext, points), ext.shape[0] - 1)
-            shipped = np.flatnonzero(ext[pos] == points)
-            send_idx[src][blk] = pos[shipped]
-            slots.append(slot_of[shipped])
-        merge_slots = np.concatenate(slots)
-        cover = decomp.cover_counts[tracked].astype(float)
-        if not np.array_equal(np.bincount(merge_slots, minlength=tracked.shape[0]), cover):
-            raise ProtocolError(f"block {blk}: {_GUARDS[2]}")
-        bounds = np.cumsum([0] + [s.shape[0] for s in slots]).tolist()
-        from_owner = np.flatnonzero(
-            owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
-        )
-        links.append(
-            BlockLinks(
-                cover=cover,
-                send_idx=send_idx[blk],
-                sources=sources,
-                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
-                merge_slots=merge_slots,
-                owner_pick=from_owner[np.argsort(merge_slots[from_owner])],
-            )
-        )
+        owners = owner_of[tracked]
+        slots = np.argsort(owners * n + tracked)  # by owner, then global index
+        by_owner = owners[slots]
+        starts = np.flatnonzero(np.diff(by_owner, prepend=-1)).tolist()
+        sources = by_owner[starts].tolist()
+        if not set(sources) <= set(decomp.neighbors[blk]):
+            raise ProtocolError(f"block {blk}: {_GUARDS[4]}")
+        positions = owner_pos[tracked[slots]]
+        recv_slots = {}
+        for src, lo, hi in zip(sources, starts, starts[1:] + [slots.shape[0]]):
+            send_idx[src][blk] = positions[lo:hi]
+            recv_slots[src] = slots[lo:hi]
+        links.append(BlockLinks(send_idx=send_idx[blk], recv_slots=recv_slots))
     return links
 
 
@@ -372,44 +351,30 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
     return rhs
 
 
-def merge_overlap(ws: BlockWorkspace, links: BlockLinks, state: BlockState) -> None:
-    """Merge the stored source values into halo and overlap values.
-
-    Every non-owned point the block tracks gets the equal-weight average of
-    the latest contribution from each covering block; the block's own fresh
-    inner-solve values participate at overlap points. Owned points are never
-    modified. ``bincount`` sums each slot's values in sequence order, so
-    every point adds its covering blocks' values in block order, as
-    ``_StackedBlocks.merge`` does.
-    """
-    mean = np.bincount(links.merge_slots, state.values, links.cover.shape[0]) / links.cover
+def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
+    """Take every point the block does not own from its owner: copy the
+    latest owner values into the halo values and into the shared points of
+    ``x_local``. Owned points are never modified."""
     n_halo = ws.halo_cols.shape[0]
-    state.halo_values = mean[:n_halo]
-    state.x_local[ws.shared_local] = mean[n_halo:]
+    state.halo_values[:] = state.values[:n_halo]
+    state.x_local[ws.shared_local] = state.values[n_halo:]
 
 
-def local_relative_residual(ws: BlockWorkspace, links: BlockLinks, state: BlockState) -> float:
+def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
     """Block-local relative residual over the block's owned rows.
 
     Numerator: the global residual restricted to owned rows, evaluated with
-    the block's own values at owned points and the owning block's latest
-    (possibly stale) contribution at every other point, so the combined
-    estimate always dominates the true residual of the gathered iterate.
-    Denominator: the owned part of ||b||, falling back to the global ||b||
-    when the owned part is zero. Every row of ``a_ii`` and ``coupling`` is
-    applied and the owned ones kept; each row sums on its own, so no
-    owned-row copy of either matrix is needed.
+    the block's own values at owned points and, after ``merge_overlap``, the
+    owning block's latest (possibly stale) value at every other point, so
+    the combined estimate always dominates the true residual of the
+    gathered iterate. Denominator: the owned part of ||b||, falling back to
+    the global ||b|| when the owned part is zero. Every row of ``a_ii`` and
+    ``coupling`` is applied and the owned ones kept; each row sums on its
+    own, so no owned-row copy of either matrix is needed.
     """
-    n_halo = ws.halo_cols.shape[0]
-    owner_values = state.values[links.owner_pick]
-    if ws.shared_local.size:
-        x_view = state.x_local.copy()
-        x_view[ws.shared_local] = owner_values[n_halo:]
-    else:
-        x_view = state.x_local
-    r = ws.b_ext - spmv(ws.a_ii, x_view)
-    if n_halo:
-        r -= spmv(ws.coupling, owner_values[:n_halo])
+    r = ws.b_ext - spmv(ws.a_ii, state.x_local)
+    if ws.halo_cols.size:
+        r -= spmv(ws.coupling, state.halo_values)
     return float(np.linalg.norm(r[ws.owned_local])) / ws.residual_scale
 
 
@@ -625,14 +590,15 @@ def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
 
 
 def _apply_incoming(ws: BlockWorkspace, links: BlockLinks, state: BlockState, incoming) -> float:
-    """Store the received halo payloads in their sources' segments, merge
-    the overlap and return the block's new local relative residual."""
-    for i, src in enumerate(links.sources):
+    """Store the received payloads in their sources' tracked slots, take
+    every non-owned point from its owner and return the block's new local
+    relative residual."""
+    for i, (src, slots) in enumerate(links.recv_slots.items()):
         if src in incoming:
-            state.values[links.segments[i]] = incoming[src].payload
+            state.values[slots] = incoming[src].payload
             state.applied[i] = incoming[src].outer_iteration
-    merge_overlap(ws, links, state)
-    return local_relative_residual(ws, links, state)
+    merge_overlap(ws, state)
+    return local_relative_residual(ws, state)
 
 
 def _block_worker(ctx: _WorkerContext):
@@ -644,7 +610,6 @@ def _block_worker(ctx: _WorkerContext):
     cfg = ctx.config
     state = ctx.state
     replay = cfg.execution == "replay"
-    own = links.sources.index(ws.block_id)
     k = 0
     while True:
         if fabric.stop_requested():
@@ -660,8 +625,6 @@ def _block_worker(ctx: _WorkerContext):
             ctx.solver, cfg.inner.kind, ws.block_id, k, rhs, state.x_local
         )
         state.x_local = x_new
-        state.values[links.segments[own]] = x_new[ws.shared_local]
-        state.applied[own] = k
 
         outgoing = {nbr: x_new[idx] for nbr, idx in links.send_idx.items()}
         if cfg.mode == "sync":
@@ -680,8 +643,9 @@ def _block_worker(ctx: _WorkerContext):
             estimate = math.sqrt(total) if math.isfinite(total) else math.inf
 
         now = float(k) if replay else time.perf_counter() - ctx.t0
-        # the own segment is from k, so this is the stalest neighbor's lag
-        staleness = k - int(state.applied.min())
+        # the lag of the stalest source; a block that takes no point from
+        # another is never stale
+        staleness = k - int(state.applied.min()) if state.applied.size else 0
         ctx.records.append(TraceRow(k, now, estimate, None, report.iterations_used, staleness))
 
         # an asynchronous estimate may be stale, so it stops only once confirmed
@@ -826,15 +790,15 @@ class _StackedBlocks:
     """Every block's extended vector stacked in block order, and every
     block's prepared inner solver.
 
-    A synchronous merge gives each point the equal-weight mean over all the
-    blocks covering it, whichever block tracks it, so ``merge`` computes one
-    mean per global point and ``coupling`` (every block's coupling rows,
-    placed at their global columns) applies it to all blocks at once.
+    Every block takes each point it does not own from the point's owner,
+    so in a synchronous iteration all blocks read one global iterate: the
+    owners' entries, ``z[gather]``. ``coupling`` (every block's coupling
+    rows, placed at their global columns) applies it to all blocks at once.
     """
 
     parts: list[slice]  # each block's range of the stacked vector
     ext: np.ndarray  # global index of each stacked entry
-    cover: np.ndarray  # covering-block count per global point
+    gather: np.ndarray  # stacked position of each global point's owner entry
     coupling: SparseMatrix  # stacked rows x global columns
     b_ext: np.ndarray
     shared: np.ndarray  # stacked positions of the non-owned entries
@@ -870,6 +834,9 @@ class _StackedBlocks:
             ),
             shape=(int(offsets[-1]), n),
         )
+        gather = np.empty(n, dtype=np.intp)
+        for lo, ws in zip(offsets, workspaces):
+            gather[ws.owned_global] = lo + ws.owned_local
         solvers = _prepare_solvers(workspaces, spec, decomp)
         batches: dict[object, list[np.ndarray]] = {}  # in the order of first blocks
         if spec.kind == "direct":
@@ -878,7 +845,7 @@ class _StackedBlocks:
         return cls(
             parts=[slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])],
             ext=np.concatenate([ws.ext for ws in workspaces]),
-            cover=decomp.cover_counts,
+            gather=gather,
             coupling=SparseMatrix(coupling),
             b_ext=np.concatenate([ws.b_ext for ws in workspaces]),
             shared=np.concatenate(
@@ -888,10 +855,6 @@ class _StackedBlocks:
             solvers=solvers,
             batches=[(solve, np.array(rows)) for solve, rows in batches.items()],
         )
-
-    def merge(self, z: np.ndarray) -> np.ndarray:
-        """Equal-weight mean per global point; blocks add in block order."""
-        return np.bincount(self.ext, z, self.cover.shape[0]) / self.cover
 
     def solve(self, rhs: np.ndarray, z: np.ndarray, k: int):
         """Every block's inner solve, warm-started from z.
@@ -924,9 +887,10 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     """Synchronous replay as one stacked iteration per outer iteration.
 
     Each iteration assembles every block's right-hand side from the global
-    mean, runs the inner solves, merges, and overwrites the shared points.
-    Every owner value is then current, so block b's local residue is the
-    norm of the global residual of the gathered iterate over b's owned rows;
+    iterate, runs the inner solves, gathers the new iterate from the owners
+    and overwrites the shared points with it. Every owner value is then
+    current, so block b's local residue is the norm of the global residual
+    of the gathered iterate over b's owned rows;
     the squared residues are summed in block order, as ``reduce_sync`` does.
     The same residual gives the true-residual samples.
 
@@ -939,23 +903,20 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     if b_norm == 0.0:
         raise ZeroRhsError("relative residual undefined for a zero right-hand side")
     owner = np.empty(b.shape[0], dtype=np.intp)
-    gather = np.empty(b.shape[0], dtype=np.intp)
-    for blk, (ws, part) in enumerate(zip(workspaces, stacked.parts)):
+    for blk, ws in enumerate(workspaces):
         owner[ws.owned_global] = blk
-        gather[ws.owned_global] = part.start + ws.owned_local
     scale = np.array([ws.residual_scale for ws in workspaces])
     shared_points = stacked.ext[stacked.shared]
     true_mode = config.residual_check_mode == "true"
 
     z = np.zeros(stacked.ext.shape[0])
-    mean = np.zeros(b.shape[0])
+    x = np.zeros(b.shape[0])
     rows: list[TraceRow] = []
     for k in itertools.count():
-        rhs = stacked.b_ext - spmv(stacked.coupling, mean)
+        rhs = stacked.b_ext - spmv(stacked.coupling, x)
         z, inner_iterations = stacked.solve(rhs, z, k)
-        mean = stacked.merge(z)
-        z[stacked.shared] = mean[shared_points]
-        x = z[gather]
+        x = z[stacked.gather]
+        z[stacked.shared] = x[shared_points]
         r = b - spmv(problem.matrix, x)
         residues = np.sqrt(np.bincount(owner, r * r, len(workspaces))) / scale
         estimate = combined_residual(residues)
@@ -1047,19 +1008,21 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     """The exact-inner-solve outer iteration as a linear map (apply, dim).
 
     Operates on the stacked per-block extended vectors: the synchronous
-    stacked iteration with b = 0 and direct inner solves. With no overlap
-    this is precisely M^-1 N for M the block diagonal of A; with overlap it
-    is the implemented multisplitting operator whose spectral radius governs
-    convergence. Block matrices equal up to a symmetry of the grid axes
-    share one factor, and each application makes one ``lu_solve`` per
-    factor; the lowest-numbered singular or non-finite block raises
+    stacked iteration with b = 0 and direct inner solves, every block
+    reading the iterate gathered from the owners' entries of z, as
+    synchronous replay does. With no overlap this is precisely M^-1 N for M
+    the block diagonal of A; with overlap it is the implemented
+    multisplitting operator whose spectral radius governs convergence.
+    Block matrices equal up to a symmetry of the grid axes share one
+    factor, and each application makes one ``lu_solve`` per factor; the
+    lowest-numbered singular or non-finite block raises
     SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1))
 
     def apply(z: np.ndarray) -> np.ndarray:
-        rhs = -spmv(stacked.coupling, stacked.merge(z))
+        rhs = -spmv(stacked.coupling, z[stacked.gather])
         return stacked.solve(rhs, z, 0)[0]
 
     return apply, int(stacked.ext.shape[0])

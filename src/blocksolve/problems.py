@@ -8,8 +8,8 @@ A block decomposition splits the grid into disjoint owned boxes on a
 an extended region: the grid points within L1 (stencil) distance o of its
 owned box, which is the owned box dilated o times under the 7-point stencil
 (never past the global boundary). Every grid point is covered by one or more
-extended regions; overlapping values are later merged with equal weights
-1/m over the m covering blocks. Everything is computed from the boxes, so no
+extended regions; each overlapping value is later taken from the block
+that owns the point. Everything is computed from the boxes, so no
 full-grid array is built per block.
 """
 
@@ -212,7 +212,7 @@ class BlockDecomposition:
 
     ``extended_indices[b]`` is the sorted array of global unknown indices in
     block b's extended region; ``cover_counts`` maps each grid point to the
-    number of extended regions covering it (the merge weight is its inverse).
+    number of extended regions covering it.
 
     Blocks of one region kind have the same region up to a shift:
     ``region_kinds[b]`` is block b's kind, and ``kind_masks[k]`` is kind k's

@@ -135,41 +135,31 @@ def per_block_workspaces(problem, decomp):
     ``multisplit.build_links``: each block's rows of A are taken with
     scipy's fancy indexing (``A[ext][:, ext]`` and the outside columns they
     touch), and each neighbor's payload map with one ``np.intersect1d`` of
-    the tracked points and the neighbor's region.
+    the neighbor's owned points and the tracked points.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b)) or 1.0
     exts = decomp.extended_indices
     owned_glob = [decomp.owned_indices(blk) for blk in range(decomp.num_blocks)]
-    owner_of = np.full(b.shape[0], -1)
-    for blk, owned in enumerate(owned_glob):
-        owner_of[owned] = blk
+    owned_loc = [np.searchsorted(ext, owned) for ext, owned in zip(exts, owned_glob)]
     send_idx = [{} for _ in exts]
     workspaces, links = [], []
     for blk, ext in enumerate(exts):
         rows = problem.matrix.csr[ext]
         outside = np.setdiff1d(rows.indices, ext)
         halo_cols = outside.astype(np.int64)
-        owned_local = np.searchsorted(ext, owned_glob[blk])
-        shared_local = np.setdiff1d(np.arange(ext.shape[0]), owned_local)
+        shared_local = np.setdiff1d(np.arange(ext.shape[0]), owned_loc[blk])
         tracked = np.concatenate((halo_cols, ext[shared_local]))
-        sources = sorted([blk, *decomp.neighbors[blk]])
-        slots = []
-        for src in sources:
-            if src == blk:
-                slots.append(np.arange(halo_cols.shape[0], tracked.shape[0]))
-                continue
-            # the common points in global index order, with their places
+        recv_slots = {}
+        for src in sorted(decomp.neighbors[blk]):
+            # the tracked points the neighbor owns, in global index order,
+            # with their places among its owned points and the tracked ones
             _, shipped, slot = np.intersect1d(
-                exts[src], tracked, assume_unique=True, return_indices=True
+                owned_glob[src], tracked, assume_unique=True, return_indices=True
             )
-            send_idx[src][blk] = shipped
-            slots.append(slot)
-        bounds = np.cumsum([0] + [len(s) for s in slots]).tolist()
-        merge_slots = np.concatenate(slots)
-        is_owner = owner_of[tracked[merge_slots]] == np.repeat(sources, np.diff(bounds))
-        owner_pick = np.full(tracked.shape[0], -1)
-        owner_pick[merge_slots[is_owner]] = np.flatnonzero(is_owner)
+            send_idx[src][blk] = owned_loc[src][shipped]
+            if slot.size:
+                recv_slots[src] = slot
         workspaces.append(
             multisplit.BlockWorkspace(
                 block_id=blk,
@@ -180,20 +170,11 @@ def per_block_workspaces(problem, decomp):
                 b_ext=b[ext].copy(),
                 residual_scale=float(np.linalg.norm(b[owned_glob[blk]])) or b_global_norm,
                 owned_global=owned_glob[blk],
-                owned_local=owned_local,
+                owned_local=owned_loc[blk],
                 shared_local=shared_local,
             )
         )
-        links.append(
-            multisplit.BlockLinks(
-                cover=decomp.cover_counts[tracked].astype(float),
-                send_idx=send_idx[blk],
-                sources=sources,
-                segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
-                merge_slots=merge_slots,
-                owner_pick=owner_pick,
-            )
-        )
+        links.append(multisplit.BlockLinks(send_idx=send_idx[blk], recv_slots=recv_slots))
     return workspaces, links
 
 
