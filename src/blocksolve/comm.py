@@ -113,11 +113,6 @@ class ReductionTree:
     def children(self, node: int) -> list[int]:
         return [c for c in (2 * node + 1, 2 * node + 2) if c < self.num_workers]
 
-    def depth(self) -> int:
-        """Edges from the deepest worker to the root: node n sits at depth
-        floor(log2(n + 1))."""
-        return self.num_workers.bit_length() - 1
-
 
 class _Estimate(NamedTuple):
     total: float

@@ -185,8 +185,8 @@ class BlockLinks:
     global index order, and ``recv_slots`` maps each source, in ascending
     id, to the tracked slots its payload fills. ``send_idx`` is keyed by
     every neighbor, in ascending id, so its items are the block's outgoing
-    payloads, one per neighbor, empty where the neighbor takes no point from
-    the block.
+    payloads, one per neighbor. A neighbor is a block that tracks a point
+    the block owns, so no payload is empty.
     """
 
     send_idx: dict[int, np.ndarray]  # local positions to ship per neighbor
@@ -203,8 +203,6 @@ class BlockLinks:
 
 _GUARDS = (
     "index set membership violated in payload construction",
-    "coupled column outside every extended region",
-    "payload coverage does not match the covering-block counts",
     "some tracked point is not owned by exactly one neighbor",
     "payload coverage: a tracked point's owner is not a neighbor",
 )
@@ -217,10 +215,9 @@ def build_workspaces(
     consecutive blocks as ``block_system``. No neighbor list is read and no
     payload map built; ``build_links`` builds those. Whole-array checks
     compare each batch with the decomposition: each owned box lies in its
-    region, each coupled column is covered, and at each point a block tracks
-    (its halo columns and shared points) ``cover_counts`` is the number of
-    regions holding it and exactly one owned box holds it. The lowest
-    failing block raises ProtocolError, naming its first failed check.
+    region, and exactly one owned box holds each point a block tracks (its
+    halo columns and shared points). The lowest failing block raises
+    ProtocolError, naming its first failed check.
     """
     b = problem.rhs
     b_global_norm = float(np.linalg.norm(b)) or 1.0
@@ -237,9 +234,7 @@ def build_workspaces(
         owners[inside] += 1
     owner_of = owner_of.ravel()
     box_size = np.array([box.size for box in decomp.owned])
-    # the points the decomposition miscounts: their covering count is not
-    # the number of regions that hold them, or not one box owns them
-    miscounted = decomp.cover_counts != np.bincount(np.concatenate(exts), minlength=b.shape[0])
+    # the points owned by no box or by several
     misowned = owners.ravel() != 1
 
     workspaces: list[BlockWorkspace] = []
@@ -262,7 +257,6 @@ def build_workspaces(
         halo_block = np.repeat(np.arange(count), [halo.shape[0] for halo in halos])
         tracked = np.concatenate(halos + [rows[~owned]])
         track_block = np.concatenate((halo_block, row_block[~owned]))
-        is_halo = np.arange(tracked.shape[0]) < halo_block.shape[0]
 
         def failing(per_point):
             return np.bincount(track_block[per_point], minlength=count) > 0
@@ -270,8 +264,6 @@ def build_workspaces(
         failed = np.stack(
             [
                 owned_count != box_size[run.start : run.stop],
-                failing(is_halo & (decomp.cover_counts[tracked] < 1)),
-                failing(miscounted[tracked]),
                 failing(misowned[tracked]),
             ],
             axis=1,
@@ -315,7 +307,7 @@ def build_links(
     fabric carries payloads between neighbors only, so an owner that is not
     among t's neighbors fails t, and the lowest such t raises ProtocolError.
     """
-    n = decomp.cover_counts.shape[0]
+    n = decomp.grid.num_unknowns
     owner_of = np.empty(n, dtype=np.intp)
     owner_pos = np.empty(n, dtype=np.intp)
     for ws in workspaces:
@@ -333,7 +325,7 @@ def build_links(
         starts = np.flatnonzero(np.diff(by_owner, prepend=-1)).tolist()
         sources = by_owner[starts].tolist()
         if not set(sources) <= set(decomp.neighbors[blk]):
-            raise ProtocolError(f"block {blk}: {_GUARDS[4]}")
+            raise ProtocolError(f"block {blk}: {_GUARDS[2]}")
         positions = owner_pos[tracked[slots]]
         recv_slots = {}
         for src, lo, hi in zip(sources, starts, starts[1:] + [slots.shape[0]]):
@@ -820,7 +812,7 @@ class _StackedBlocks:
         those ``_prepare_solvers`` reads: one per factor for the direct
         kind, every block's ``a_ii`` for the others.
         """
-        n = decomp.cover_counts.shape[0]
+        n = decomp.grid.num_unknowns
         offsets = np.cumsum([0] + [ws.n_local for ws in workspaces])
         parts = [ws.coupling_parts for ws in workspaces]
         row_entries = np.concatenate([np.diff(part.indptr) for part in parts])

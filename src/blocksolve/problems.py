@@ -40,8 +40,7 @@ __all__ = [
 # Matrix entries of the stacked extended rows one set-up batch may hold, so
 # the transient arrays of block extraction and of ``build_workspaces``' checks
 # stay bounded whatever the block count (see ``batches``). The payload maps
-# are not batched: ``multisplit.build_links`` builds them one (block,
-# neighbor) pair at a time.
+# are not batched: ``multisplit.build_links`` makes one sort per block.
 BATCH_ENTRIES = 1 << 15
 
 FACES = ("x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi")
@@ -211,8 +210,7 @@ class BlockDecomposition:
     """Owned boxes, extended regions and neighbor topology of a block grid.
 
     ``extended_indices[b]`` is the sorted array of global unknown indices in
-    block b's extended region; ``cover_counts`` maps each grid point to the
-    number of extended regions covering it.
+    block b's extended region.
 
     Blocks of one region kind have the same region up to a shift:
     ``region_kinds[b]`` is block b's kind, and ``kind_masks[k]`` is kind k's
@@ -227,7 +225,6 @@ class BlockDecomposition:
     owned: list[Box]
     extended_indices: list[np.ndarray]
     neighbors: list[list[int]]
-    cover_counts: np.ndarray
     region_kinds: np.ndarray
     kind_masks: list[np.ndarray]
 
@@ -244,16 +241,6 @@ class BlockDecomposition:
         """Extended-region size beyond the owned box."""
         return int(self.extended_indices[block_id].shape[0]) - self.owned[block_id].size
 
-    def covering_blocks(self, flat_index: int) -> list[int]:
-        """Blocks whose extended region covers the given grid point."""
-        covering = []
-        for b in range(self.num_blocks):
-            ext = self.extended_indices[b]
-            pos = np.searchsorted(ext, flat_index)
-            if pos < ext.shape[0] and ext[pos] == flat_index:
-                covering.append(b)
-        return covering
-
 
 def decompose(
     grid: Grid3D, block_grid: tuple[int, int, int], overlap: int = 0
@@ -263,10 +250,11 @@ def decompose(
     Owned boxes partition the grid; each dimension is split into nearly
     equal contiguous ranges with the remainder given to the lowest-index
     blocks. A block's extended region is every grid point at L1 distance at
-    most ``overlap`` from its owned box. Two blocks are neighbors when the
-    L1 distance between their owned boxes is at most 2 * overlap + 1, which
-    holds exactly when a point of one region lies in the other region or one
-    stencil step from it: then one block's rows read values the other
+    most ``overlap`` from its owned box, and its halo columns are the points
+    at distance ``overlap + 1``. Two blocks are neighbors when the L1
+    distance between their owned boxes is at most ``overlap + 1``, which
+    holds exactly when one of them tracks a point the other owns, as a halo
+    column or a shared point: then one block reads values the other
     computes. Both distances are summed per axis; dilating inside the grid
     gives the same sets because the grid is itself a box.
     """
@@ -342,13 +330,13 @@ def decompose(
         for blk, region in zip(blocks.tolist(), base[blocks, None] + offsets):
             extended_indices[blk] = region
 
-    # Blocks three or more block-grid steps apart on an axis have two whole
-    # ranges between them there, each wider than the overlap, so their gap
-    # exceeds 2 * overlap + 1: only the 5 x 5 x 5 window around a block can
-    # hold its neighbors. Per axis, the gap from each block position to the
-    # positions 2 back to 2 ahead; a position off the block grid is too far.
-    near = 2 * overlap + 1
-    steps = np.arange(-2, 3)
+    # Blocks two or more block-grid steps apart on an axis have a whole
+    # range between them there, wider than the overlap, so their gap is at
+    # least overlap + 2: only the 3 x 3 x 3 window around a block can hold
+    # its neighbors. Per axis, the gap from each block position to the
+    # positions 1 back to 1 ahead; a position off the block grid is too far.
+    near = overlap + 1
+    steps = np.arange(-1, 2)
     gaps = []
     for axis_ranges, g in zip(ranges, block_grid):
         first, end = (np.array(axis_ranges) - [0, 1]).T
@@ -380,9 +368,6 @@ def decompose(
         owned=owned,
         extended_indices=extended_indices,
         neighbors=neighbors,
-        cover_counts=np.bincount(
-            np.concatenate(extended_indices), minlength=grid.num_unknowns
-        ),
         region_kinds=kind,
         kind_masks=kind_masks,
     )

@@ -94,8 +94,7 @@ def sync_iterates():
 
 
 def per_block_regions(grid, owned, overlap):
-    """Every block's extended region, built one block at a time, and the
-    cover counts.
+    """Every block's extended region, built one block at a time.
 
     A plain reference for ``problems.decompose``: each owned box is padded
     by the overlap and clipped to the grid, and the points of the padded box
@@ -113,7 +112,7 @@ def per_block_regions(grid, owned, overlap):
         distance = dx + dy[:, None] + dz[:, None, None]
         indices = x + grid.nx * (y[:, None] + grid.ny * z[:, None, None])
         regions.append(indices[distance <= overlap])
-    return regions, np.bincount(np.concatenate(regions), minlength=grid.num_unknowns)
+    return regions
 
 
 @pytest.fixture

