@@ -10,10 +10,8 @@ from .comm import DelayModel, Fabric, ReductionTree
 from .errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from .inner_solvers import InnerSolveReport, InnerSolverSpec, prepare
 from .linalg import (
-    SingularMatrixError,
     SparseMatrix,
     ZeroRhsError,
-    dense_solve,
     residual_norms,
     spmv,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "ProtocolError",
     "ReductionTree",
     "ResidualTrace",
-    "SingularMatrixError",
     "SolveResult",
     "SolverBreakdownError",
     "SparseMatrix",
@@ -61,7 +58,6 @@ __all__ = [
     "build_laplace_3d",
     "combined_residual",
     "decompose",
-    "dense_solve",
     "iteration_operator",
     "outer_solve",
     "prepare",

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError
-from .linalg import DENSE_ORACLE_CAP, SparseMatrix, as_vector, spmv
+from .linalg import SparseMatrix, as_vector, spmv
 
 __all__ = [
     "InnerSolverSpec",
@@ -36,6 +36,9 @@ __all__ = [
 SOLVER_KINDS = ("jacobi", "cg", "gmres", "direct")
 
 DEFAULT_RESTART = 30
+
+# the most rows a block's dense direct factor may have: 8192 rows is 512 MB
+DIRECT_FACTOR_MAX_ROWS = 8192
 
 # relative progress below this over a full restart cycle counts as stagnation
 STAGNATION_RTOL = 1e-14
@@ -272,13 +275,13 @@ def factor_direct(a: SparseMatrix, block_id: int):
     (a singular factor or a non-finite ``b``) reports ``breakdown`` with an
     infinite residual. A non-finite ``a`` is not factored: each of its
     solves returns NaN and reports ``breakdown``. The solve holds no state,
-    so blocks with equal matrices may share it. Blocks above the dense
-    oracle's cap are refused before anything is densified.
+    so blocks with equal matrices may share it. Blocks above
+    ``DIRECT_FACTOR_MAX_ROWS`` are refused before anything is densified.
     """
-    if a.num_rows > DENSE_ORACLE_CAP:
+    if a.num_rows > DIRECT_FACTOR_MAX_ROWS:
         raise ConfigurationError(
             f"inner: the direct solve of block {block_id} needs a dense factor of "
-            f"{a.num_rows} rows, above the cap of {DENSE_ORACLE_CAP}"
+            f"{a.num_rows} rows, above the cap of {DIRECT_FACTOR_MAX_ROWS}"
         )
     if not np.isfinite(a.values).all():
 

@@ -1,45 +1,29 @@
-"""Sparse/dense kernels and the verification oracles used by the solvers.
+"""The sparse matrix the solvers share, its product and residual norms.
 
 Vectors are plain one-dimensional float64 numpy arrays. The sparse format is
 scipy's CSR (``scipy.sparse.csr_array``), kept canonical: strictly increasing
-column indices inside each row. The dense solve exists mainly to
-cross-check the iterative machinery, so it is deliberately boring and
-direct. No spectral-radius estimator lives here: run
+column indices inside each row. No dense solve lives here: the direct
+inner solve is ``inner_solvers.factor_direct``, and the tests keep their
+own dense oracle. No spectral-radius estimator lives here either: run
 ``scipy.sparse.linalg.eigs`` on a ``LinearOperator`` around the map that
 ``multisplit.iteration_operator`` returns.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 __all__ = [
     "CsrParts",
     "SparseMatrix",
-    "SingularMatrixError",
     "ZeroRhsError",
     "spmv",
     "residual_norms",
-    "dense_solve",
 ]
-
-DENSE_ORACLE_CAP = 8192
-
-
-class SingularMatrixError(Exception):
-    """Elimination hit a pivot that is zero to working precision."""
-
-    def __init__(self, pivot_index: int):
-        super().__init__(
-            f"matrix is singular to working precision (pivot {pivot_index})"
-        )
-        self.pivot_index = pivot_index
 
 
 class ZeroRhsError(ValueError):
@@ -161,29 +145,3 @@ def residual_norms(a: SparseMatrix, x, b) -> tuple[float, float]:
     if bnorm == 0.0:
         raise ZeroRhsError("relative residual undefined for a zero right-hand side")
     return absolute, absolute / bnorm
-
-
-def dense_solve(a, b, *, max_dim: int = DENSE_ORACLE_CAP) -> np.ndarray:
-    """Solve a dense square system by Gaussian elimination with partial pivoting.
-
-    Verification oracle: O(n^3), capped at ``max_dim`` unknowns so the test
-    suite stays fast. Raises SingularMatrixError (with the offending pivot
-    index) when a pivot is zero to working precision.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    b = as_vector(b, n)
-    if n > max_dim:
-        raise ValueError(f"system of size {n} exceeds the oracle cap {max_dim}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    scale = max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
-    tol = n * np.finfo(np.float64).eps * scale
-    bad = np.nonzero(pivots <= tol)[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]))
-    return scipy.linalg.lu_solve((lu, piv), b)

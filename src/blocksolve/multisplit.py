@@ -16,10 +16,11 @@ crosses the target first requests a confirmation round: one synchronous
 reduction of the current local residues; the run stops only if the
 confirmed value is below the target.
 
-Synchronous replay runs each outer iteration as one stacked iteration over
-all blocks: every point's owner value is the current iterate, so one global
-iterate, gathered from the owners, feeds every block's halo and overlap,
-and the block-local residues are segment norms of one global residual.
+Synchronous replay runs each outer iteration as one sweep over all blocks
+on the global iterate: every point's owner value is current, so one global
+iterate, gathered from the owners, feeds every block's halo and overlap and
+warm-starts its inner solve, and the block-local residues are segment norms
+of one global residual. ``iteration_operator`` is the same sweep.
 Asynchronous replay runs one generator worker per block in deterministic
 round-robin. In both, trace timestamps are iteration counts. Threaded
 execution runs one generator worker per block on its own thread against
@@ -131,7 +132,7 @@ class BlockState:
     """
 
     x_local: np.ndarray  # over the extended region
-    halo_values: np.ndarray  # owner values at the coupled external columns
+    halo_values: np.ndarray  # owner values at the halo columns: a view of values
     values: np.ndarray  # latest owner value per tracked point
     applied: np.ndarray  # outer iteration of each source's payload (-1 = initial guess)
 
@@ -193,10 +194,12 @@ class BlockLinks:
     recv_slots: dict[int, np.ndarray]  # tracked slots of each source's payload
 
     def initial_state(self, ws: BlockWorkspace) -> BlockState:
+        n_halo = ws.halo_cols.shape[0]
+        values = np.zeros(n_halo + ws.shared_local.shape[0])
         return BlockState(
             x_local=np.zeros(ws.n_local),
-            halo_values=np.zeros(ws.halo_cols.shape[0]),
-            values=np.zeros(ws.halo_cols.shape[0] + ws.shared_local.shape[0]),
+            halo_values=values[:n_halo],
+            values=values,
             applied=np.full(len(self.recv_slots), -1),
         )
 
@@ -345,11 +348,10 @@ def assemble_block_rhs(ws: BlockWorkspace, halo_values: np.ndarray) -> np.ndarra
 
 def merge_overlap(ws: BlockWorkspace, state: BlockState) -> None:
     """Take every point the block does not own from its owner: copy the
-    latest owner values into the halo values and into the shared points of
-    ``x_local``. Owned points are never modified."""
-    n_halo = ws.halo_cols.shape[0]
-    state.halo_values[:] = state.values[:n_halo]
-    state.x_local[ws.shared_local] = state.values[n_halo:]
+    latest owner values into the shared points of ``x_local``. The halo
+    values are a view of the received values, so they need no copy. Owned
+    points are never modified."""
+    state.x_local[ws.shared_local] = state.values[ws.halo_cols.shape[0] :]
 
 
 def local_relative_residual(ws: BlockWorkspace, state: BlockState) -> float:
@@ -779,21 +781,21 @@ def _run_threads(contexts, fabric):
 
 @dataclass
 class _StackedBlocks:
-    """Every block's extended vector stacked in block order, and every
-    block's prepared inner solver.
+    """Every block's extended region stacked in block order, and every
+    block's prepared inner solver: one synchronous outer step, ``sweep``.
 
     Every block takes each point it does not own from the point's owner,
-    so in a synchronous iteration all blocks read one global iterate: the
-    owners' entries, ``z[gather]``. ``coupling`` (every block's coupling
-    rows, placed at their global columns) applies it to all blocks at once.
+    so in a synchronous step all blocks read one global iterate x, and its
+    next value is each point's owner entry of the stacked solutions,
+    ``z[gather]``. ``coupling`` (every block's coupling rows, placed at
+    their global columns) applies x to all blocks at once.
     """
 
     parts: list[slice]  # each block's range of the stacked vector
     ext: np.ndarray  # global index of each stacked entry
     gather: np.ndarray  # stacked position of each global point's owner entry
+    owner: np.ndarray  # the block that owns each global point
     coupling: SparseMatrix  # stacked rows x global columns
-    b_ext: np.ndarray
-    shared: np.ndarray  # stacked positions of the non-owned entries
     kind: str
     solvers: list  # each block's prepared solver
     # direct: per factor, its solve and one row of stacked positions per
@@ -838,31 +840,30 @@ class _StackedBlocks:
             parts=[slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])],
             ext=np.concatenate([ws.ext for ws in workspaces]),
             gather=gather,
+            owner=np.repeat(np.arange(len(workspaces)), np.diff(offsets))[gather],
             coupling=SparseMatrix(coupling),
-            b_ext=np.concatenate([ws.b_ext for ws in workspaces]),
-            shared=np.concatenate(
-                [lo + ws.shared_local for lo, ws in zip(offsets, workspaces)]
-            ),
             kind=spec.kind,
             solvers=solvers,
             batches=[(solve, np.array(rows)) for solve, rows in batches.items()],
         )
 
-    def solve(self, rhs: np.ndarray, z: np.ndarray, k: int):
-        """Every block's inner solve, warm-started from z.
+    def solve(self, rhs: np.ndarray, x: np.ndarray, k: int):
+        """Every block's inner solve of its stacked ``rhs``, each iterative
+        block warm-started from the global iterate x on its region.
 
         Returns (stacked solution, inner iterations summed over blocks). The
-        direct kind makes one ``lu_solve`` per factor, the right-hand sides
-        of its blocks gathered as the columns of one array and the solutions
-        scattered back; each block counts one iteration. The other kinds
-        solve block by block. Either way the lowest-numbered block that
-        breaks down raises its SolverBreakdownError.
+        direct kind ignores x and makes one ``lu_solve`` per factor, the
+        right-hand sides of its blocks gathered as the columns of one array
+        and the solutions scattered back; each block counts one iteration.
+        The other kinds solve block by block. Either way the lowest-numbered
+        block that breaks down raises its SolverBreakdownError.
         """
         out = np.empty(rhs.shape[0])
         if self.kind != "direct":
+            x_ext = x[self.ext]
             inner_iterations = 0
             for blk, (part, solver) in enumerate(zip(self.parts, self.solvers)):
-                out[part], report = _solve_block(solver, self.kind, blk, k, rhs[part], z[part])
+                out[part], report = _solve_block(solver, self.kind, blk, k, rhs[part], x_ext[part])
                 inner_iterations += report.iterations_used
             return out, inner_iterations
         for solve, rows in self.batches:
@@ -874,15 +875,21 @@ class _StackedBlocks:
             raise SolverBreakdownError(blk, k, "direct reported breakdown")
         return out, len(self.parts)
 
+    def sweep(self, x: np.ndarray, b_ext: np.ndarray, k: int):
+        """One synchronous outer step on the global iterate x, for the
+        stacked right-hand side ``b_ext``: every block solves
+        ``b_ext - coupling x`` on its region, and each point takes its
+        owner's solution. Returns (next iterate, inner iterations)."""
+        z, inner_iterations = self.solve(b_ext - spmv(self.coupling, x), x, k)
+        return z[self.gather], inner_iterations
+
 
 def _run_sync_replay(problem, decomp, workspaces, config):
-    """Synchronous replay as one stacked iteration per outer iteration.
+    """Synchronous replay: one ``_StackedBlocks.sweep`` per outer iteration,
+    on the global iterate alone.
 
-    Each iteration assembles every block's right-hand side from the global
-    iterate, runs the inner solves, gathers the new iterate from the owners
-    and overwrites the shared points with it. Every owner value is then
-    current, so block b's local residue is the norm of the global residual
-    of the gathered iterate over b's owned rows;
+    Every owner value is current after a sweep, so block b's local residue
+    is the norm of the global residual of the iterate over b's owned rows;
     the squared residues are summed in block order, as ``reduce_sync`` does.
     The same residual gives the true-residual samples.
 
@@ -894,23 +901,16 @@ def _run_sync_replay(problem, decomp, workspaces, config):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise ZeroRhsError("relative residual undefined for a zero right-hand side")
-    owner = np.empty(b.shape[0], dtype=np.intp)
-    for blk, ws in enumerate(workspaces):
-        owner[ws.owned_global] = blk
+    b_ext = b[stacked.ext]
     scale = np.array([ws.residual_scale for ws in workspaces])
-    shared_points = stacked.ext[stacked.shared]
     true_mode = config.residual_check_mode == "true"
 
-    z = np.zeros(stacked.ext.shape[0])
     x = np.zeros(b.shape[0])
     rows: list[TraceRow] = []
     for k in itertools.count():
-        rhs = stacked.b_ext - spmv(stacked.coupling, x)
-        z, inner_iterations = stacked.solve(rhs, z, k)
-        x = z[stacked.gather]
-        z[stacked.shared] = x[shared_points]
+        x, inner_iterations = stacked.sweep(x, b_ext, k)
         r = b - spmv(problem.matrix, x)
-        residues = np.sqrt(np.bincount(owner, r * r, len(workspaces))) / scale
+        residues = np.sqrt(np.bincount(stacked.owner, r * r, len(workspaces))) / scale
         estimate = combined_residual(residues)
         sample = None
         if true_mode or k % config.true_residual_interval == 0:
@@ -999,22 +999,17 @@ def outer_solve(problem: LinearProblem, config: OuterConfig) -> SolveResult:
 def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     """The exact-inner-solve outer iteration as a linear map (apply, dim).
 
-    Operates on the stacked per-block extended vectors: the synchronous
-    stacked iteration with b = 0 and direct inner solves, every block
-    reading the iterate gathered from the owners' entries of z, as
-    synchronous replay does. With no overlap this is precisely M^-1 N for M
-    the block diagonal of A; with overlap it is the implemented
-    multisplitting operator whose spectral radius governs convergence.
-    Block matrices equal up to a symmetry of the grid axes share one
-    factor, and each application makes one ``lu_solve`` per factor; the
-    lowest-numbered singular or non-finite block raises
-    SolverBreakdownError.
+    Operates on the global iterate, dim = n: the synchronous sweep of
+    synchronous replay with direct inner solves and b = 0, so one replay
+    step is ``apply(x) + x_0``, x_0 the first iterate (from x = 0). With no
+    overlap this is precisely M^-1 N for M the block diagonal of A; with
+    overlap it is the restricted additive Schwarz operator whose spectral
+    radius governs convergence. Block matrices equal up to a symmetry of
+    the grid axes share one factor, and each application makes one
+    ``lu_solve`` per factor; the lowest-numbered singular or non-finite
+    block raises SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1))
-
-    def apply(z: np.ndarray) -> np.ndarray:
-        rhs = -spmv(stacked.coupling, z[stacked.gather])
-        return stacked.solve(rhs, z, 0)[0]
-
-    return apply, int(stacked.ext.shape[0])
+    zeros = np.zeros(stacked.ext.shape[0])
+    return (lambda x: stacked.sweep(x, zeros, 0)[0]), problem.grid.num_unknowns

@@ -1,12 +1,51 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from blocksolve import multisplit, problems
-from blocksolve.linalg import CsrParts
+from blocksolve.linalg import CsrParts, as_vector
+
+
+class SingularMatrixError(Exception):
+    """Elimination hit a pivot that is zero to working precision."""
+
+    def __init__(self, pivot_index: int):
+        super().__init__(
+            f"matrix is singular to working precision (pivot {pivot_index})"
+        )
+        self.pivot_index = pivot_index
+
+
+def dense_solve(a, b, *, max_dim: int = 8192) -> np.ndarray:
+    """Solve a dense square system by Gaussian elimination with partial pivoting.
+
+    The tests' oracle for the iterative machinery, deliberately boring and
+    direct: O(n^3), capped at ``max_dim`` unknowns so the suite stays fast.
+    Raises SingularMatrixError (with the offending pivot index) when a pivot
+    is zero to working precision.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    b = as_vector(b, n)
+    if n > max_dim:
+        raise ValueError(f"system of size {n} exceeds the oracle cap {max_dim}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
+    pivots = np.abs(np.diag(lu))
+    scale = max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
+    tol = n * np.finfo(np.float64).eps * scale
+    bad = np.nonzero(pivots <= tol)[0]
+    if bad.size:
+        raise SingularMatrixError(int(bad[0]))
+    return scipy.linalg.lu_solve((lu, piv), b)
 
 
 def count_symmetry_classes(shape, block_grid, overlap=1):

@@ -13,7 +13,6 @@ import numpy as np
 from blocksolve.cli import main as cli_main
 from blocksolve.comm import DelayModel, Fabric
 from blocksolve.inner_solvers import InnerSolverSpec, prepare
-from blocksolve.linalg import dense_solve
 from blocksolve.multisplit import (
     OuterConfig,
     iteration_operator,
@@ -27,6 +26,8 @@ from blocksolve.problems import (
     build_laplace_3d,
     decompose,
 )
+
+from conftest import dense_solve
 
 MIXED_BOUNDARY = {"x_lo": 1.0, "y_hi": 0.5}
 

@@ -7,9 +7,10 @@ import pytest
 from blocksolve import inner_solvers
 from blocksolve.errors import ConfigurationError
 from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec, prepare
-from blocksolve.linalg import SparseMatrix, dense_solve, residual_norms
+from blocksolve.linalg import SparseMatrix, residual_norms
 from blocksolve.problems import DirichletBoundary, Grid3D, build_laplace_3d
 
+from conftest import dense_solve
 from test_linalg import identity, tridiag
 
 

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from blocksolve.linalg import (
-    SingularMatrixError,
-    SparseMatrix,
-    ZeroRhsError,
-    dense_solve,
-    residual_norms,
-    spmv,
-)
+from blocksolve.linalg import SparseMatrix, ZeroRhsError, residual_norms, spmv
 from blocksolve.problems import DirichletBoundary, Grid3D, build_laplace_3d
+
+from conftest import SingularMatrixError, dense_solve
 
 
 def tridiag(n, lo=-1.0, diag=2.0, hi=-1.0):

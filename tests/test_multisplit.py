@@ -17,7 +17,7 @@ from blocksolve import multisplit
 from blocksolve.comm import DelayModel, Fabric
 from blocksolve.errors import ConfigurationError, ProtocolError, SolverBreakdownError
 from blocksolve.inner_solvers import InnerSolveReport, InnerSolverSpec
-from blocksolve.linalg import CsrParts, SparseMatrix, ZeroRhsError, dense_solve
+from blocksolve.linalg import CsrParts, SparseMatrix, ZeroRhsError
 from blocksolve.multisplit import (
     OuterConfig,
     ResidualTrace,
@@ -41,6 +41,8 @@ from blocksolve.problems import (
     build_laplace_3d,
     decompose,
 )
+
+from conftest import dense_solve
 
 
 def make_problem(n, boundary=None):
@@ -1498,15 +1500,36 @@ class TestIterationOperator:
             owned = decomp.owned_indices(b)
             m[np.ix_(owned, owned)] = dense[np.ix_(owned, owned)]
         iteration_matrix = np.linalg.solve(m, m - dense)
-        # the stacked layout permutes the unknowns block by block
-        perm = np.concatenate([decomp.extended_indices[b] for b in range(2)])
         materialized = np.zeros((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
             materialized[:, j] = apply_map(e)
-        expected = iteration_matrix[np.ix_(perm, perm)]
-        assert np.abs(materialized - expected).max() <= 1e-12
+        assert np.abs(materialized - iteration_matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "blocks,overlap", [((2, 2, 1), 1), ((2, 2, 2), 1), ((2, 1, 1), 2), ((2, 1, 1), 0)]
+    )
+    def test_replay_step_is_the_operator_plus_the_first_iterate(
+        self, sync_iterates, blocks, overlap
+    ):
+        # the operator acts on the global iterate, as replay does: with
+        # direct blocks one replay step is x -> apply(x) + x_0, x_0 the
+        # first iterate (taken from x = 0)
+        problem = make_problem(6)
+        decomp = decompose(problem.grid, blocks, overlap)
+        apply_map, dim = iteration_operator(problem, decomp)
+        assert dim == problem.grid.num_unknowns
+        config = OuterConfig(
+            block_grid=blocks,
+            overlap=overlap,
+            inner=InnerSolverSpec("direct", 1),
+            tol=1e-300,
+            true_residual_interval=10**9,
+        )
+        xs = sync_iterates(problem, config, 5)
+        for x, x_next in zip(xs, xs[1:]):
+            assert np.abs(x_next - (apply_map(x) + xs[0])).max() <= 1e-12
 
     @pytest.mark.parametrize("blocks,overlap", [((2, 1, 1), 0), ((2, 2, 1), 1)])
     def test_radius_below_one(self, blocks, overlap, spectral_radius):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blocksolve.errors import ConfigurationError
-from blocksolve.linalg import dense_solve
 from blocksolve.problems import (
     BATCH_ENTRIES,
     DirichletBoundary,
@@ -14,6 +13,8 @@ from blocksolve.problems import (
     build_laplace_3d,
     decompose,
 )
+
+from conftest import dense_solve
 
 
 class TestBoundary:
