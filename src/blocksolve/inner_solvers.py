@@ -37,7 +37,9 @@ SOLVER_KINDS = ("jacobi", "cg", "gmres", "direct")
 
 DEFAULT_RESTART = 30
 
-# the most rows a block's dense direct factor may have: 8192 rows is 512 MB
+# the most rows a block's dense direct factor may have: the inverse
+# overwrites the LU, so n^2 doubles, 512 MB at 8192 rows; the synchronous
+# sweep's kept rows add |keep| * n
 DIRECT_FACTOR_MAX_ROWS = 8192
 
 # relative progress below this over a full restart cycle counts as stagnation
@@ -91,7 +93,7 @@ def _scale(b: np.ndarray) -> float:
 def prepare(spec: InnerSolverSpec, a: SparseMatrix, block_id: int = 0):
     """``solve(b, x0) -> (x, report)`` for block ``block_id``'s matrix ``a``.
 
-    Jacobi's diagonal split, the direct LU factor and GMRES's reused basis
+    Jacobi's diagonal split, the direct inverse and GMRES's reused basis
     are made here, once: one GMRES solver must not run two solves at once."""
     if spec.kind == "jacobi":
         return _jacobi(spec, a)
@@ -263,44 +265,58 @@ def _gmres(spec: InnerSolverSpec, a: SparseMatrix):
     return solve_gmres
 
 
-def factor_direct(a: SparseMatrix, block_id: int):
-    """Dense LU factor of block ``block_id``'s ``a``, computed once.
+def factor_direct(a: SparseMatrix, block_id: int) -> DirectSolve:
+    """Dense inverse of block ``block_id``'s ``a``, computed once: an LU
+    factor (``scipy.linalg.lu_factor``, which warns of a zero pivot) turned
+    into the inverse in place by LAPACK's getri.
 
-    Returns ``solve(b, x0) -> (x, report)``, an exact solve that ignores
-    ``x0`` and counts as one iteration. ``b`` is one right-hand side of
-    shape (n,) or k of them as the columns of an (n, k) array, solved in one
-    ``scipy.linalg.lu_solve`` call; x has the shape of ``b`` and the one
-    report covers every column. The solve does not measure its residual: a
-    finite x reports ``tolerance_met`` with residual 0.0, and a non-finite x
-    (a singular factor or a non-finite ``b``) reports ``breakdown`` with an
-    infinite residual. A non-finite ``a`` is not factored: each of its
-    solves returns NaN and reports ``breakdown``. The solve holds no state,
-    so blocks with equal matrices may share it. Blocks above
+    Returns a ``DirectSolve`` over every row of the inverse. A singular
+    factor or a non-finite ``a`` (which is not factored) gives a NaN
+    inverse, so each of its solves reports ``breakdown``. Blocks above
     ``DIRECT_FACTOR_MAX_ROWS`` are refused before anything is densified.
     """
-    if a.num_rows > DIRECT_FACTOR_MAX_ROWS:
+    n = a.num_rows
+    if n > DIRECT_FACTOR_MAX_ROWS:
         raise ConfigurationError(
             f"inner: the direct solve of block {block_id} needs a dense factor of "
-            f"{a.num_rows} rows, above the cap of {DIRECT_FACTOR_MAX_ROWS}"
+            f"{n} rows, above the cap of {DIRECT_FACTOR_MAX_ROWS}"
         )
     if not np.isfinite(a.values).all():
-
-        def solve_non_finite(b, x0=None) -> Solved:
-            return _exact_report(np.full(np.shape(b), np.nan))
-
-        return solve_non_finite
+        return DirectSolve(np.full((n, n), np.nan))
     lu, piv = scipy.linalg.lu_factor(a.to_dense())
+    # getri's default workspace (3n) runs it unblocked, several times slower
+    lwork, _ = scipy.linalg.lapack.dgetri_lwork(n)
+    inverse, info = scipy.linalg.lapack.dgetri(lu, piv, lwork=int(lwork), overwrite_lu=1)
+    if info != 0:
+        inverse[...] = np.nan
+    return DirectSolve(inverse)
 
-    def solve_factored(b, x0=None) -> Solved:
-        # scipy's getrs shifts the pivot indices in place for the call, so
-        # solves running at once on one factor (threads) each get their own
-        return _exact_report(
-            scipy.linalg.lu_solve(
-                (lu, piv.copy()), np.asarray(b, dtype=np.float64), check_finite=False
-            )
-        )
 
-    return solve_factored
+@dataclass(eq=False)
+class DirectSolve:
+    """The exact solve of a factored block, restricted to some rows of its
+    solution: ``x = inverse_rows @ b``, with ``inverse_rows`` those rows of
+    the block's inverse. ``factor_direct`` makes the solve over every row.
+
+    ``solve(b, x0) -> (x, report)`` ignores ``x0`` and counts as one
+    iteration. ``b`` is one right-hand side of shape (n,) or k of them as
+    the columns of an (n, k) array, solved in one matrix product; x has one
+    row per kept row, a column per column of ``b``, and the one report
+    covers every column. The solve does not measure its residual: a finite
+    x reports ``tolerance_met`` with residual 0.0, and a non-finite x (a
+    NaN inverse or a non-finite ``b``) reports ``breakdown`` with an
+    infinite residual. A product only reads the inverse, so the solve holds
+    no state: blocks with equal matrices, and threads, may share it.
+    """
+
+    inverse_rows: np.ndarray
+
+    def __call__(self, b, x0=None) -> Solved:
+        return _exact_report(self.inverse_rows @ b)
+
+    def kept_rows(self, keep: np.ndarray) -> DirectSolve:
+        """The solve that computes only the solution entries ``keep``."""
+        return DirectSolve(self.inverse_rows[keep])
 
 
 def _exact_report(x: np.ndarray) -> Solved:

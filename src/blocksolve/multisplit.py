@@ -567,17 +567,16 @@ def _prepare_solvers(
 
 
 def inner_solve(solver, rhs: np.ndarray, x0: np.ndarray):
-    """Run a block's prepared iterative solver. Tracers and tests intercept
-    this name; direct solves bypass it and are seen at
-    ``scipy.linalg.lu_solve``: one call per block solve in the per-block
-    workers, and one call per factor per outer iteration in synchronous
-    replay, which solves every block of a factor together."""
+    """Run a prepared inner solver; tracers and tests intercept this name.
+    It is called once per block solve, except in synchronous replay with
+    direct solves, which calls it once per factor per outer iteration for
+    every block of the factor together."""
     return solver(rhs, x0)
 
 
 def _solve_block(solver, kind: str, block_id: int, k: int, rhs, x0):
     """One block's inner solve; a breakdown raises its SolverBreakdownError."""
-    x, report = solver(rhs, x0) if kind == "direct" else inner_solve(solver, rhs, x0)
+    x, report = inner_solve(solver, rhs, x0)
     if report.stop_reason == "breakdown":
         raise SolverBreakdownError(block_id, k, f"{kind} reported breakdown")
     return x, report
@@ -798,9 +797,10 @@ class _StackedBlocks:
     coupling: SparseMatrix  # stacked rows x global columns
     kind: str
     solvers: list  # each block's prepared solver
-    # direct: per factor, its solve and one row of stacked positions per
-    # block, listing the block's points in the factor's order
-    batches: list[tuple[object, np.ndarray]]
+    # direct, per factor: its solve of the kept rows, one row per block of
+    # the block's stacked positions in the factor's order, and of those at
+    # the kept rows
+    batches: list[tuple[object, np.ndarray, np.ndarray]]
 
     @classmethod
     def build(
@@ -813,6 +813,10 @@ class _StackedBlocks:
         building a matrix per block. The only per-block matrices built are
         those ``_prepare_solvers`` reads: one per factor for the direct
         kind, every block's ``a_ii`` for the others.
+
+        A direct factor keeps the rows of its inverse at the union of the
+        positions its blocks own, in the factor's order: only owned entries
+        are read after a solve.
         """
         n = decomp.grid.num_unknowns
         offsets = np.cumsum([0] + [ws.n_local for ws in workspaces])
@@ -832,10 +836,16 @@ class _StackedBlocks:
         for lo, ws in zip(offsets, workspaces):
             gather[ws.owned_global] = lo + ws.owned_local
         solvers = _prepare_solvers(workspaces, spec, decomp)
-        batches: dict[object, list[np.ndarray]] = {}  # in the order of first blocks
+        members: dict[object, tuple[list, list]] = {}  # in the order of first blocks
         if spec.kind == "direct":
-            for lo, solver in zip(offsets, solvers):
-                batches.setdefault(solver.solve, []).append(lo + solver.perm)
+            for lo, ws, solver in zip(offsets, workspaces, solvers):
+                rows, owned = members.setdefault(solver.solve, ([], []))
+                rows.append(lo + solver.perm)
+                owned.append(np.isin(solver.perm, ws.owned_local))
+        batches = []
+        for solve, (rows, owned) in members.items():
+            rows, keep = np.array(rows), np.flatnonzero(np.any(owned, axis=0))
+            batches.append((solve.kept_rows(keep), rows, rows[:, keep]))
         return cls(
             parts=[slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])],
             ext=np.concatenate([ws.ext for ws in workspaces]),
@@ -844,7 +854,7 @@ class _StackedBlocks:
             coupling=SparseMatrix(coupling),
             kind=spec.kind,
             solvers=solvers,
-            batches=[(solve, np.array(rows)) for solve, rows in batches.items()],
+            batches=batches,
         )
 
     def solve(self, rhs: np.ndarray, x: np.ndarray, k: int):
@@ -852,11 +862,13 @@ class _StackedBlocks:
         block warm-started from the global iterate x on its region.
 
         Returns (stacked solution, inner iterations summed over blocks). The
-        direct kind ignores x and makes one ``lu_solve`` per factor, the
-        right-hand sides of its blocks gathered as the columns of one array
-        and the solutions scattered back; each block counts one iteration.
-        The other kinds solve block by block. Either way the lowest-numbered
-        block that breaks down raises its SolverBreakdownError.
+        direct kind ignores x and makes one ``inner_solve`` per factor: one
+        product of the kept rows of its inverse with the right-hand sides of
+        its blocks, gathered as the columns of one array, and the solutions
+        scattered back at the kept rows; other entries are left undefined.
+        Each block counts one iteration. The other kinds solve block by
+        block. Either way the lowest-numbered block that breaks down raises
+        its SolverBreakdownError.
         """
         out = np.empty(rhs.shape[0])
         if self.kind != "direct":
@@ -866,11 +878,14 @@ class _StackedBlocks:
                 out[part], report = _solve_block(solver, self.kind, blk, k, rhs[part], x_ext[part])
                 inner_iterations += report.iterations_used
             return out, inner_iterations
-        for solve, rows in self.batches:
-            out[rows] = solve(rhs[rows].T)[0].T
-        failed = ~np.isfinite(out)
-        if failed.any():
-            first = int(np.argmax(failed))
+        failed = []  # a stacked position of each block that broke down
+        for solve, rows, kept in self.batches:
+            y, report = inner_solve(solve, rhs[rows].T, None)
+            out[kept] = y.T
+            if report.stop_reason == "breakdown":
+                failed.extend(kept[~np.isfinite(y).all(axis=0), 0])
+        if failed:
+            first = min(failed)
             blk = next(blk for blk, part in enumerate(self.parts) if first < part.stop)
             raise SolverBreakdownError(blk, k, "direct reported breakdown")
         return out, len(self.parts)
@@ -1005,9 +1020,9 @@ def iteration_operator(problem: LinearProblem, decomp: BlockDecomposition):
     overlap this is precisely M^-1 N for M the block diagonal of A; with
     overlap it is the restricted additive Schwarz operator whose spectral
     radius governs convergence. Block matrices equal up to a symmetry of
-    the grid axes share one factor, and each application makes one
-    ``lu_solve`` per factor; the lowest-numbered singular or non-finite
-    block raises SolverBreakdownError.
+    the grid axes share one factor, and each application makes one product
+    per factor with its inverse's kept rows; the lowest-numbered singular
+    or non-finite block raises SolverBreakdownError.
     """
     workspaces = build_workspaces(problem, decomp)
     stacked = _StackedBlocks.build(workspaces, decomp, InnerSolverSpec("direct", 1))

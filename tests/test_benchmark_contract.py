@@ -41,14 +41,15 @@ def traced_calls(kind, mode, shape=(4, 4, 4), block_grid=(2, 2, 2)):
     return tracer.totals()[2], result
 
 
-# direct solves factor and solve through scipy.linalg in
-# inner_solvers.factor_direct, so they are seen at lu_factor and lu_solve
-# instead of inner_solve; blocks whose matrices are equal up to a symmetry
-# of the grid axes share one factor (distinct_block_matrices: conftest.py),
-# and synchronous replay solves all blocks of a factor in one lu_solve
+# direct solves factor through scipy.linalg in inner_solvers.factor_direct,
+# seen at lu_factor, and solve by a product with the inverse, seen at
+# inner_solve like every other kind, never at lu_solve; blocks whose
+# matrices are equal up to a symmetry of the grid axes share one factor
+# (distinct_block_matrices: conftest.py), and synchronous replay solves all
+# blocks of a factor in one inner_solve
 @pytest.mark.parametrize(
     "kind,inner_spans",
-    [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "lu_solve"})],
+    [("gmres", {"inner_solve"}), ("direct", {"lu_factor", "inner_solve"})],
 )
 def test_traced_solve_records_every_layer(kind, inner_spans, distinct_block_matrices):
     calls, result = traced_calls(kind, "sync")
@@ -57,15 +58,14 @@ def test_traced_solve_records_every_layer(kind, inner_spans, distinct_block_matr
     } | inner_spans
     missing = {name for name in expected if calls[name] == 0}
     assert not missing, f"no spans recorded for {sorted(missing)}"
+    assert calls["lu_solve"] == 0
     if kind == "gmres":
-        # one span per block solve, each seen once: inner_solvers.calls adds the two
-        block_solves = 8 * result.outer_iterations
-        assert calls["inner_solve"] == block_solves
-        assert calls["inner_solve"] + calls["lu_solve"] == block_solves
+        # one span per block solve, each seen once
+        assert calls["inner_solve"] == 8 * result.outer_iterations
     else:
         # the eight corner blocks of 4^3 are mirror images of one another
         assert calls["lu_factor"] == distinct_block_matrices((4, 4, 4), (2, 2, 2)) == 1
-        assert calls["lu_solve"] == calls["lu_factor"] * result.outer_iterations
+        assert calls["inner_solve"] == calls["lu_factor"] * result.outer_iterations
 
 
 def test_traced_direct_solve_factors_each_distinct_block_once(distinct_block_matrices):
@@ -73,15 +73,16 @@ def test_traced_direct_solve_factors_each_distinct_block_once(distinct_block_mat
     # the two middle ones
     calls, result = traced_calls("direct", "sync", (12, 4, 4), (4, 1, 1))
     assert calls["lu_factor"] == distinct_block_matrices((12, 4, 4), (4, 1, 1)) == 2
-    assert calls["lu_solve"] == calls["lu_factor"] * result.outer_iterations
+    assert calls["inner_solve"] == calls["lu_factor"] * result.outer_iterations
+    assert calls["lu_solve"] == 0
 
 
-def test_traced_async_direct_solve_makes_one_lu_solve_per_block_solve():
+def test_traced_async_direct_solve_makes_one_inner_solve_per_block_solve():
     # the per-block workers solve each block through its shared factor alone
     calls, result = traced_calls("direct", "async")
     assert calls["lu_factor"] == 1
-    assert calls["lu_solve"] == sum(row.inner_iterations for row in result.trace.rows)
-    assert calls["inner_solve"] == 0
+    assert calls["inner_solve"] == sum(row.inner_iterations for row in result.trace.rows)
+    assert calls["lu_solve"] == 0
 
 
 def test_traced_async_solve_records_the_per_block_layers():

@@ -341,8 +341,8 @@ class TestCommonBehavior:
         assert solver(columns)[1].stop_reason == "breakdown"
 
     def test_direct_solves_at_once_on_one_factor(self):
-        # scipy's getrs shifts the pivot indices in place for each call;
-        # threads solving through one shared factor must not see the shift
+        # threads solving through one shared factor at once must each get
+        # their own exact solve: a solve only reads the inverse
         rng = np.random.default_rng(5)
         n = 200
         solver = prepare(

@@ -990,9 +990,10 @@ class TestFusedSyncReplay:
     the per-block workers through the fabric. Both take every point a block
     does not own from its owner, so with iterative inner solves they compute
     the same iterates bit for bit. The direct kind agrees within rounding:
-    replay solves the blocks of one factor as the columns of one
-    ``lu_solve``, which rounds differently from one-column solves (3.3e-16
-    apart on the 12x12x6 case)."""
+    replay solves the blocks of one factor in one product of the kept rows
+    of its inverse with their right-hand sides as columns, which rounds
+    differently from the per-block products with the whole inverse
+    (3.3e-16 apart on the 12x12x6 case)."""
 
     # (grid, block grid, overlap) by id; on 12x12x6 in 3x3x1 blocks a point
     # is covered by up to four blocks, and with fixed-step Krylov inner
@@ -1120,16 +1121,17 @@ def factor_owners(monkeypatch):
     return owners
 
 
-def count_lu_solves(monkeypatch):
-    """The column counts of every ``scipy.linalg.lu_solve`` call from now on."""
-    original = scipy.linalg.lu_solve
+def count_solves(monkeypatch, module, name):
+    """The column counts of every call of ``module.name`` from now on; the
+    right-hand side is the call's second argument."""
+    original = getattr(module, name)
     solved = []
 
-    def counting(lu_and_piv, b, *args, **kwargs):
+    def counting(solver, b, *args, **kwargs):
         solved.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return original(lu_and_piv, b, *args, **kwargs)
+        return original(solver, b, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+    monkeypatch.setattr(module, name, counting)
     return solved
 
 
@@ -1342,7 +1344,8 @@ class TestMatricesBuiltInTheSolve:
 
 class TestBatchedDirectSweep:
     """Synchronous replay solves the blocks of one direct factor together:
-    their right-hand sides are the columns of one ``lu_solve``."""
+    their right-hand sides are the columns of one product with the rows of
+    the factor's inverse that its blocks own."""
 
     # on 12x12x6 with 3x3x1 blocks the edge blocks along x are the edge
     # blocks along y with x and y swapped: 3 factors serve the 9 blocks,
@@ -1360,16 +1363,43 @@ class TestBatchedDirectSweep:
         direct_stacked(self.problem(), self.BLOCKS)
         assert len(factored) == distinct_block_matrices(self.GRID, self.BLOCKS) == 3
 
-    def test_every_column_matches_its_own_factor(self):
-        workspaces, stacked = direct_stacked(self.problem(), self.BLOCKS)
-        # the corners, the edges and the center
-        assert [len(rows) for _, rows in stacked.batches] == [4, 4, 1]
+    @pytest.mark.parametrize("case", ["12x12x6", "slab"])
+    def test_every_column_matches_its_own_factor(self, case):
+        # the corners, the edges and the center of 12x12x6; the end and the
+        # middle blocks of the slab. The sweep defines only owned entries
+        problem, blocks, sizes = {
+            "12x12x6": (self.problem(), self.BLOCKS, [4, 4, 1]),
+            "slab": (slab(), (4, 1, 1), [2, 2]),
+        }[case]
+        workspaces, stacked = direct_stacked(problem, blocks)
+        assert [len(rows) for _, rows, _ in stacked.batches] == sizes
         rhs = np.random.default_rng(4).standard_normal(stacked.ext.shape[0])
         out, inner_iterations = stacked.solve(rhs, np.zeros_like(rhs), 0)
-        assert inner_iterations == 9
+        assert inner_iterations == len(workspaces)
         for ws, part in zip(workspaces, stacked.parts):
             own = scipy.linalg.lu_solve(scipy.linalg.lu_factor(ws.a_ii.to_dense()), rhs[part])
-            assert np.linalg.norm(out[part] - own) <= 1e-12 * np.linalg.norm(own), ws.block_id
+            owned = ws.owned_local
+            error = np.linalg.norm(out[part][owned] - own[owned])
+            assert error <= 1e-12 * np.linalg.norm(own[owned]), ws.block_id
+
+    @pytest.mark.parametrize("case", ["24^3-4^3", "slab"])
+    def test_each_factor_keeps_the_rows_its_blocks_own(self, case):
+        # every factor of 24^3 on 4x4x4 keeps its blocks' 6^3 owned box. On
+        # the slab blocks 0 and 3 share a factor under the identity and own
+        # its opposite ends, 48 of its 64 rows each; blocks 1 and 2 own the
+        # same 48 of their 80
+        problem, blocks, kept = {
+            "24^3-4^3": (make_problem(24), (4, 4, 4), [216] * 4),
+            "slab": (slab(), (4, 1, 1), [64, 48]),
+        }[case]
+        _, stacked = direct_stacked(problem, blocks)
+        assert [keep.shape[1] for _, _, keep in stacked.batches] == kept
+        for solve, rows, keep in stacked.batches:
+            # beside the factor's n^2 inverse, its solve holds |keep| * n doubles
+            assert solve.inverse_rows.shape == (keep.shape[1], rows.shape[1])
+        # the sweep reads each point from its owner's block, a kept entry
+        computed = np.concatenate([keep.ravel() for _, _, keep in stacked.batches])
+        assert np.isin(stacked.gather, computed).all()
 
     def test_sync_threads_matches_replay(self):
         replay, threads = (
@@ -1385,12 +1415,14 @@ class TestBatchedDirectSweep:
             threads.final_true_residual, rel=1e-10
         )
 
-    def test_one_lu_solve_per_factor_per_outer_iteration(self, monkeypatch):
-        solved = count_lu_solves(monkeypatch)
+    def test_one_inner_solve_per_factor_per_outer_iteration(self, monkeypatch):
+        solved = count_solves(monkeypatch, multisplit, "inner_solve")
+        triangular = count_solves(monkeypatch, scipy.linalg, "lu_solve")
         result = outer_solve(self.problem(), self.CONFIG)
         assert result.converged
         assert len(solved) == 3 * result.outer_iterations
         assert sum(solved) == 9 * result.outer_iterations
+        assert triangular == []
 
     @pytest.mark.parametrize("failing,expected", [((63, 2), 2), ((21, 6), 6), ((40, 5), 5)])
     def test_lowest_failing_column_raises_across_groups(self, failing, expected):
@@ -1398,7 +1430,7 @@ class TestBatchedDirectSweep:
         # and 5 (24 blocks each) and 21 (the 8 interior blocks) are solved in
         # that order; a NaN right-hand side fails only its own column
         _, stacked = direct_stacked(make_problem(24), (4, 4, 4))
-        assert [len(rows) for _, rows in stacked.batches] == [8, 24, 24, 8]
+        assert [len(rows) for _, rows, _ in stacked.batches] == [8, 24, 24, 8]
         rhs = np.ones(stacked.ext.shape[0])
         for blk in failing:
             rhs[stacked.parts[blk].start + 17] = np.nan
